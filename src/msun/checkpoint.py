@@ -114,20 +114,36 @@ def save_model(path: str, model: MsunModel) -> None:
     save_snapshot(path, model_state(model), list(model.scales))
 
 
-def load_model(path: str) -> MsunModel:
-    tensors, scales = load_snapshot(path)
+def _meta_ints(tensors, name: str, path: str, scalar: bool = False):
+    """Pop a ``meta.*`` tensor as whole non-negative numbers (one if scalar)."""
     try:
-        spec = BackboneSpec(
-            stage_widths=tuple(int(v) for v in tensors.pop("meta.stage_widths")),
-            stage_blocks=tuple(int(v) for v in tensors.pop("meta.stage_blocks")),
-            block_kind=_KINDS[int(tensors.pop("meta.block_kind")[0])],
-            num_classes=int(tensors.pop("meta.num_classes")[0]),
-            canonical_size=int(tensors.pop("meta.canonical_size")[0]),
-        )
-        subnet_blocks = int(tensors.pop("meta.subnet_blocks")[0])
+        arr = tensors.pop(name)
     except KeyError as exc:
         raise SnapshotError(f"{path}: missing architecture tensor {exc}") from exc
-    model = MsunModel(spec, ScaleSet(scales), subnet_blocks, Rng(0))
+    if (arr.ndim != 1 or (scalar and arr.size != 1) or not np.all(np.isfinite(arr))
+            or np.any(arr < 0) or np.any(arr != np.floor(arr))):
+        raise SnapshotError(f"{path}: {name} holds {arr.tolist()}, expected "
+                            f"{'one' if scalar else 'a list of'} whole non-negative numbers")
+    values = tuple(int(v) for v in arr)
+    return values[0] if scalar else values
+
+
+def load_model(path: str) -> MsunModel:
+    tensors, scales = load_snapshot(path)
+    widths = _meta_ints(tensors, "meta.stage_widths", path)
+    blocks = _meta_ints(tensors, "meta.stage_blocks", path)
+    kind = _meta_ints(tensors, "meta.block_kind", path, scalar=True)
+    num_classes = _meta_ints(tensors, "meta.num_classes", path, scalar=True)
+    canonical = _meta_ints(tensors, "meta.canonical_size", path, scalar=True)
+    subnet_blocks = _meta_ints(tensors, "meta.subnet_blocks", path, scalar=True)
+    if kind >= len(_KINDS):
+        raise SnapshotError(f"{path}: meta.block_kind {kind} is not one of "
+                            f"{list(range(len(_KINDS)))} ({', '.join(_KINDS)})")
+    try:
+        spec = BackboneSpec(widths, blocks, _KINDS[kind], num_classes, canonical)
+        model = MsunModel(spec, ScaleSet(scales), subnet_blocks, Rng(0))
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: architecture does not build: {exc}") from exc
 
     expected = dict(model.named_params())
     buffers = dict(model.named_buffers())

@@ -85,7 +85,6 @@ class Config:
                 lr_floor_fraction=self["train.lr_floor_fraction"],
                 lam=self["msun.lambda"],
                 seed=self["train.seed"],
-                scales=self["data.scales"],
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -217,7 +217,9 @@ def prefetch_batches(batches: Iterator, n_threads: int = None,
     """Optionally produce batches on a background thread (bounded, ordered).
 
     Thread count is capped by MSUN_THREADS (default 1 = synchronous); one
-    producer is always enough because order must be preserved.
+    producer is always enough because order must be preserved. An exception
+    in the producer is re-raised in the consumer; a consumer that stops
+    early (close, break, error) stops the producer and joins it.
     """
     if n_threads is None:
         n_threads = int(os.environ.get("MSUN_THREADS", "1"))
@@ -225,18 +227,37 @@ def prefetch_batches(batches: Iterator, n_threads: int = None,
         yield from batches
         return
     q: queue.Queue = queue.Queue(maxsize=depth)
+    stop = threading.Event()
     _END = object()
 
     def produce():
-        for item in batches:
-            q.put(item)
-        q.put(_END)
+        # each queue entry is (item, exception); _END closes the stream
+        try:
+            for item in batches:
+                if stop.is_set():
+                    return
+                q.put((item, None))
+        except BaseException as exc:
+            q.put((_END, exc))
+            return
+        q.put((_END, None))
 
     worker = threading.Thread(target=produce, daemon=True)
     worker.start()
-    while True:
-        item = q.get()
-        if item is _END:
-            break
-        yield item
-    worker.join()
+    try:
+        while True:
+            item, exc = q.get()
+            if exc is not None:
+                raise exc
+            if item is _END:
+                break
+            yield item
+    finally:
+        stop.set()
+        # free the queue so a producer blocked on put can see the stop
+        while worker.is_alive():
+            try:
+                q.get(timeout=0.01)
+            except queue.Empty:
+                pass
+        worker.join()

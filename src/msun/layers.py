@@ -2,8 +2,11 @@
 
 Each op is a fused tape node with a hand-derived backward rule; the heavy
 lifting runs through im2col + GEMM in float32 with float64 statistics and
-loss reductions. Parameter-owning layers draw their initial weights from the
-shared SplitMix64 stream (Kaiming fan-in normals for conv/linear).
+loss reductions. Backward rules skip operands that do not require grad:
+a stem convolution over raw images computes no image gradient (no col2im),
+and a linear map over constant features none for its input.
+Parameter-owning layers draw their initial weights from the shared
+SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         g3 = g.reshape(n, m, ho * wo)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(bias.data.dtype)
+        if not x.requires_grad:                   # raw images: no col2im
+            return None, gw, gb
         gcols = np.matmul(w2.T, g3)               # [N, C*k*k, Ho*Wo]
         gx = _col2im(gcols, x_shape, k, stride, pad, ho, wo)
         return gx, gw, gb
@@ -134,7 +139,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = xd @ wd.T + bias.data
 
     def grad_fn(g):
-        return g @ wd, g.T @ xd, g.sum(axis=0, dtype=np.float64).astype(DTYPE)
+        gx = g @ wd if x.requires_grad else None
+        return gx, g.T @ xd, g.sum(axis=0, dtype=np.float64).astype(DTYPE)
 
     return from_op(out, "linear", (x, weight, bias), grad_fn)
 

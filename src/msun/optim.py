@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class TrainConfig:
     lr_floor_fraction: float = 0.01
     lam: float = 0.1
     seed: int = 0
-    scales: tuple = (16, 32, 64)
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
@@ -77,8 +76,3 @@ class SGD:
             if self.weight_decay:
                 v += self.weight_decay * p.data
             p.data -= lr * v
-
-
-def sgd_step(params, state: SGD, lr: float) -> None:
-    """Functional wrapper kept for symmetry with the schedule helpers."""
-    state.step(lr)

@@ -31,6 +31,9 @@ class TapeNode:
 
     ``grad_fn`` maps the gradient w.r.t. the node's output to a tuple of
     gradients w.r.t. each input (None for inputs that need none).
+    ``conv2d`` and ``linear`` return None for an input whose
+    ``requires_grad`` is false and skip the arithmetic that would have
+    produced its gradient.
     """
 
     __slots__ = ("op", "inputs", "grad_fn")
@@ -316,6 +319,8 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate into existing buffers, so call ``zero_grad`` on the
     parameters first; a tensor used twice receives the sum of both paths.
+    A gradient a ``grad_fn`` still returns for an input that does not
+    require grad is dropped here.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")

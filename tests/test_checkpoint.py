@@ -8,6 +8,7 @@ import pytest
 from msun import BackboneSpec, Rng, ScaleSet, build_vanilla, transform_to_msun
 from msun.checkpoint import (SnapshotError, load_model, load_snapshot, model_state,
                              save_model, save_snapshot)
+from msun.cli import main
 
 
 SPEC = BackboneSpec((8, 16), (1, 1), "plain", 4, 32)
@@ -110,3 +111,21 @@ class TestModelRoundtrip:
         with pytest.raises(SnapshotError) as exc:
             load_model(path)
         assert "head.bias" in str(exc.value)
+
+    @pytest.mark.parametrize("defect", ["block_kind_7", "nan_num_classes",
+                                        "reversed_scales"])
+    def test_bad_metadata_is_a_format_error(self, tmp_path, capsys, defect):
+        path = str(tmp_path / "m.msun")
+        model = transform_to_msun(SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        state, scales = model_state(model), list(model.scales)
+        if defect == "block_kind_7":
+            state["meta.block_kind"] = np.asarray([7.0], np.float32)
+        elif defect == "nan_num_classes":
+            state["meta.num_classes"] = np.asarray([np.nan], np.float32)
+        else:
+            scales = scales[::-1]
+        save_snapshot(path, state, scales)
+        with pytest.raises(SnapshotError):
+            load_model(path)
+        assert main(["flops", "--checkpoint", path, "--size", "32"]) == 4
+        assert "file format error" in capsys.readouterr().err

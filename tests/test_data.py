@@ -1,5 +1,7 @@
 """Shape generator, IDX round-trips, and multi-scale batch assembly."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,54 @@ class TestMultiscale:
         threaded = [b.labels for b in prefetch_batches(make_multiscale(ds, [32], 5, seed=2))]
         assert all(np.array_equal(a, b) for a, b in zip(plain, threaded))
         assert len(plain) == len(threaded)
+
+
+class TestPrefetchStops:
+    """Threaded prefetch neither hangs on a failing producer nor on an early stop."""
+
+    @staticmethod
+    def _run_bounded(fn, seconds=5.0):
+        box = {}
+
+        def target():
+            try:
+                box["value"] = fn()
+            except BaseException as exc:
+                box["error"] = exc
+
+        t = threading.Thread(target=target, daemon=True)
+        t.start()
+        t.join(seconds)
+        assert not t.is_alive(), "prefetch still blocked"
+        return box
+
+    def test_producer_error_reaches_consumer(self):
+        def failing():
+            yield 1
+            yield 2
+            raise RuntimeError("render failed")
+
+        box = self._run_bounded(lambda: list(prefetch_batches(failing(), n_threads=2)))
+        assert isinstance(box.get("error"), RuntimeError)
+        assert "render failed" in str(box["error"])
+
+    def test_early_stop_releases_producer(self):
+        def endless():
+            i = 0
+            while True:
+                yield i
+                i += 1
+
+        def take_three():
+            it = prefetch_batches(endless(), n_threads=2, depth=2)
+            got = [next(it) for _ in range(3)]
+            it.close()
+            return got
+
+        threads_before = threading.active_count()
+        box = self._run_bounded(take_three)
+        assert box.get("value") == [0, 1, 2]
+        assert threading.active_count() == threads_before   # producer joined
 
 
 class TestDatasetValidation:

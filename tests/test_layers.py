@@ -233,6 +233,34 @@ class TestLinear:
         assert grad_check(lambda t: SQ(linear(x, t, b)), w) < 1e-3
 
 
+class TestConstantInputs:
+    """conv2d and linear skip the input gradient when the input is a constant.
+
+    The weight and bias gradients must not change by a single bit.
+    """
+
+    @pytest.mark.parametrize("case", ["conv2d", "linear"])
+    def test_constant_input_gets_none(self, case):
+        rng = Rng(41)
+        if case == "conv2d":
+            x, w, b = randn(rng, (2, 3, 9, 9)), randn(rng, (4, 3, 5, 5)), randn(rng, (4,))
+            g = randn(rng, (2, 4, 4, 4))
+            op = lambda xt, wt, bt: conv2d(xt, wt, bt, 2, 1)
+        else:
+            x, w, b = randn(rng, (5, 6)), randn(rng, (3, 6)), randn(rng, (3,))
+            g = randn(rng, (5, 3))
+            op = linear
+        grads = {}
+        for needs in (False, True):
+            out = op(Tensor(x, requires_grad=needs), Tensor(w, requires_grad=True),
+                     Tensor(b, requires_grad=True))
+            grads[needs] = out.node.grad_fn(g)
+        assert grads[False][0] is None
+        assert grads[True][0] is not None and grads[True][0].shape == x.shape
+        assert np.array_equal(grads[False][1], grads[True][1])
+        assert np.array_equal(grads[False][2], grads[True][2])
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((2, 4), dtype=np.float32))

@@ -322,6 +322,28 @@ class TestTrainingStep:
         assert "cross-entropy" in str(exc.value) or "scale-invariance" in str(exc.value)
 
 
+class TestConstantStemInputs:
+    def test_desk_step_parameter_grads_bit_identical(self):
+        """Images need no gradient; skipping it must not move a parameter grad."""
+        spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
+        scales = ScaleSet([16, 32, 64])
+        rng = Rng(12)
+        images = [small_batch(rng, s, n=128).data for s in scales]
+        labels = np.arange(128) % 6
+        grads, stem_grads = {}, {}
+        for needs in (False, True):
+            model = transform_to_msun(spec, 3, 1, scales, Rng(4)).train()
+            views = [Tensor(v, requires_grad=needs) for v in images]
+            _step_with_logits(model, views, labels, SGD(model.parameters(), 0.9, 2e-5),
+                              0.1, 0.0)
+            grads[needs] = {n: p.grad for n, p in model.named_params()}
+            stem_grads[needs] = [v.grad for v in views]
+        assert stem_grads[False] == [None, None, None]
+        assert all(np.any(g != 0) for g in stem_grads[True])
+        for name, g in grads[False].items():
+            assert np.array_equal(g, grads[True][name]), name
+
+
 class TestFullLossGradients:
     def test_full_loss_matches_finite_differences(self):
         spec = BackboneSpec((4,), (1,), "plain", 2, 8)
