@@ -71,18 +71,22 @@ class CkaReport:
         return "\n".join(lines) + "\n"
 
 
-def _tap_activations(model: MsunModel, images: np.ndarray, size: int,
-                     taps: Sequence[str], batch: int = 128) -> dict:
-    """Per-sample flattened activations at each tap, feeding ``size`` inputs."""
+def tap_activations(model: MsunModel, images: np.ndarray, size: int,
+                    taps: Sequence[str]) -> dict:
+    """Per-sample activations at each tap as float32 ``[N, -1]``.
+
+    Images are resized to ``size`` and presented at that size, 128 at a time,
+    without recording a tape.
+    """
     chunks = {t: [] for t in taps}
     with T.no_grad():
-        for start in range(0, images.shape[0], batch):
-            x = resize_images(images[start:start + batch], size, size)
-            captured = {t: None for t in taps}
+        for start in range(0, images.shape[0], 128):
+            x = resize_images(images[start:start + 128], size, size)
+            captured = dict.fromkeys(taps)
             model.forward_infer(x, size, taps=captured)
             for t in taps:
                 data = captured[t].data
-                chunks[t].append(data.reshape(data.shape[0], -1).astype(np.float64))
+                chunks[t].append(data.reshape(data.shape[0], -1))
     return {t: np.concatenate(chunks[t], axis=0) for t in taps}
 
 
@@ -101,8 +105,8 @@ def layerwise_cka(model: MsunModel, probe_images: np.ndarray, scale_a: int,
     if n < min_samples:
         raise ValueError(f"probe set has {n} samples, need at least {min_samples}")
     model.eval()
-    acts_a = _tap_activations(model, probe_images, scale_a, taps)
-    acts_b = _tap_activations(model, probe_images, scale_b, taps)
+    acts_a = tap_activations(model, probe_images, scale_a, taps)
+    acts_b = tap_activations(model, probe_images, scale_b, taps)
     rows = [CkaRow(t, scale_a, scale_b, n, cka(acts_a[t], acts_b[t])) for t in taps]
     return CkaReport(rows)
 
@@ -280,49 +284,29 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
     grads = feats.grad[0].astype(np.float64)
     acts = feats.data[0].astype(np.float64)
     alphas = grads.mean(axis=(1, 2))
-    cam = np.maximum((alphas[:, None, None] * acts).sum(axis=0), 0.0)
-    return GradCamMap(cam, target_class, alphas, acts)
+    return GradCamMap(grad_cam_formula(alphas, acts), target_class, alphas, acts)
 
 
 def pca_project(features: np.ndarray, dims: int = 2) -> np.ndarray:
-    """Project onto the top principal directions by power iteration.
+    """Project onto the top principal directions of the sample covariance.
 
-    Deterministic: fixed start vector, deflation between components, the
-    sign fixed so each component's largest-magnitude loading is positive.
-    Rank-deficient inputs warn and zero-fill the missing components.
+    Deterministic: each component's sign is fixed so its largest-magnitude
+    loading is positive. Rank-deficient inputs warn and zero-fill the
+    missing components.
     """
     x = np.asarray(features, dtype=np.float64)
     n, d = x.shape
     if n <= dims:
         raise ValueError(f"need more than {dims} samples, got {n}")
     xc = x - x.mean(axis=0, keepdims=True)
-    cov = xc.T @ xc / (n - 1)
-    components = []
+    lams, vecs = np.linalg.eigh(xc.T @ xc / (n - 1))     # ascending eigenvalues
+    basis = np.zeros((d, dims))
     for comp in range(dims):
-        v = np.ones(d) / np.sqrt(d)
-        lam = 0.0
-        for _ in range(10_000):
-            nxt = cov @ v
-            norm = np.linalg.norm(nxt)
-            if norm <= 1e-12:
-                lam = 0.0
-                break
-            nxt /= norm
-            if np.linalg.norm(nxt - v) < 1e-9:
-                v = nxt
-                lam = norm
-                break
-            v = nxt
-            lam = norm
-        if lam <= 1e-12:
+        if comp >= d or lams[d - 1 - comp] <= 1e-12:
             warnings.warn(f"feature rank below {dims}: component {comp} zero-filled")
-            components.append(np.zeros(d))
             continue
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        components.append(v)
-        cov = cov - lam * np.outer(v, v)
-    basis = np.stack(components, axis=1)
+        v = vecs[:, d - 1 - comp]
+        basis[:, comp] = -v if v[np.argmax(np.abs(v))] < 0 else v
     return xc @ basis
 
 

@@ -11,44 +11,35 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import checkpoint as ckpt
-from .analysis import count_flops, grad_cam, layerwise_cka, pca_project
+from .analysis import count_flops, grad_cam, layerwise_cka, pca_project, tap_activations
 from .config import Config, ConfigError, load_config
-from .data import Dataset, IdxFormatError, gen_shapes, load_idx, save_idx
+from .data import IdxFormatError, gen_shapes, load_idx, save_idx
 from .experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
                           eval_multiscale, run_experiment)
 from .layers import resize_images
 from .tensor import NonFiniteError
-from . import tensor as T
 
 
-def _datasets(cfg: Config):
-    """(train, test) datasets per the config's data section."""
+def _datasets(cfg: Config, *splits: str):
+    """The config's dataset for each named split ("train" or "test"), in order.
+
+    Only the named splits are loaded or rendered.
+    """
     kind = cfg["data.kind"]
     if kind == "idx":
-        for key in ("data.idx_train_images", "data.idx_train_labels",
-                    "data.idx_test_images", "data.idx_test_labels"):
+        keys = [(f"data.idx_{s}_images", f"data.idx_{s}_labels") for s in splits]
+        for key in (k for pair in keys for k in pair):
             if not cfg[key]:
                 raise ConfigError(f"data.kind=idx requires {key}")
             if not os.path.exists(cfg[key]):
                 raise ConfigError(f"{key} file not found: {cfg[key]}")
-        train = load_idx(cfg["data.idx_train_images"], cfg["data.idx_train_labels"])
-        test = load_idx(cfg["data.idx_test_images"], cfg["data.idx_test_labels"])
-        return train, test
+        return tuple(load_idx(cfg[images], cfg[labels]) for images, labels in keys)
     if kind != "shapes":
         raise ConfigError(f"unknown data.kind {kind!r}")
-    seed = cfg["train.seed"]
-    train = gen_shapes(seed, cfg["data.n_train"], cfg["data.classes"],
-                       cfg["data.native"], cfg["data.noise"])
-    test = gen_shapes(seed ^ 0x7E57DA7A, cfg["data.n_test"], cfg["data.classes"],
-                      cfg["data.native"], cfg["data.noise"])
-    return train, test
-
-
-def _test_dataset(cfg: Config) -> Dataset:
-    return _datasets(cfg)[1]
+    seeds = {"train": cfg["train.seed"], "test": cfg["train.seed"] ^ 0x7E57DA7A}
+    return tuple(gen_shapes(seeds[s], cfg[f"data.n_{s}"], cfg["data.classes"],
+                            cfg["data.native"], cfg["data.noise"]) for s in splits)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -74,7 +65,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    train_ds, test_ds = _datasets(cfg)
+    train_ds, test_ds = _datasets(cfg, "train", "test")
     out_dir = args.out or f"msun-{args.method}"
     try:
         spec = ExperimentSpec(args.method, cfg.backbone(), cfg.train_config(),
@@ -93,7 +84,8 @@ def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
     sizes = [int(s) for s in args.sizes.split(",")]
-    report = eval_multiscale(args.checkpoint, _test_dataset(cfg), sizes)
+    (test,) = _datasets(cfg, "test")
+    report = eval_multiscale(args.checkpoint, test, sizes)
     _emit(report.to_csv(), args.out)
     return 0
 
@@ -103,7 +95,7 @@ def cmd_cka(args) -> int:
     cfg = _load_cfg(args)
     scale_a, scale_b = (int(s) for s in args.scales.split(","))
     model = ckpt.load_model(args.checkpoint)
-    test = _test_dataset(cfg)
+    (test,) = _datasets(cfg, "test")
     probe = test.images[:cfg["cka.probe_samples"]]
     taps = None
     taps_text = args.taps if args.taps is not None else cfg["cka.taps"]
@@ -128,7 +120,7 @@ def cmd_gradcam(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
     model = ckpt.load_model(args.checkpoint)
-    test = _test_dataset(cfg)
+    (test,) = _datasets(cfg, "test")
     if not 0 <= args.index < len(test):
         raise ConfigError(f"--index {args.index} outside the test set (n={len(test)})")
     image = test.images[args.index:args.index + 1]
@@ -146,16 +138,9 @@ def cmd_pca(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
     model = ckpt.load_model(args.checkpoint)
-    test = _test_dataset(cfg)
+    (test,) = _datasets(cfg, "test")
     size = args.size or test.native_size
-    feats = []
-    with T.no_grad():
-        for start in range(0, len(test), 256):
-            taps = {"pooled": None}
-            x = resize_images(test.images[start:start + 256], size, size)
-            model.forward_infer(x, size, taps=taps)
-            feats.append(taps["pooled"].data.copy())
-    coords = pca_project(np.concatenate(feats, axis=0))
+    coords = pca_project(tap_activations(model, test.images, size, ["pooled"])["pooled"])
     lines = ["sample_id,label,pc1,pc2"]
     for i, (label, (p1, p2)) in enumerate(zip(test.labels, coords)):
         lines.append(f"{i},{label},{p1:.8f},{p2:.8f}")
@@ -174,7 +159,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = _load_cfg(args)
-    train_ds, test_ds = _datasets(cfg)
+    train_ds, test_ds = _datasets(cfg, "train", "test")
     b_values = [int(v) for v in args.B.split(",")]
     s_values = [int(v) for v in args.S.split(",")]
     rows = ablation_grid(b_values, s_values, cfg.backbone(), cfg.train_config(),

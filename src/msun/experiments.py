@@ -15,11 +15,10 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .analysis import EvalReport, EvalRow, count_flops, count_params
+from .analysis import EvalReport, EvalRow, count_flops, count_params, tap_activations
 from .data import Dataset, make_multiscale, prefetch_batches, split_dataset
-from .layers import Linear, resize_images
-from .model import (BackboneSpec, MsunModel, ScaleSet, _step_with_logits,
-                    build_vanilla, transform_to_msun)
+from .layers import Linear, resize_images, softmax_cross_entropy
+from .model import BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla
 from .optim import SGD, TrainConfig, lr_at
 from .rng import Rng
 from .tensor import NonFiniteError, Tensor
@@ -132,44 +131,28 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
         rows.append(f"{epoch},test,,,,,{test_acc:.6f},")
         model.train()
 
-    final_acc = float(rows[-1].split(",")[6])
     path = None
     if spec.out_dir is not None:
         os.makedirs(spec.out_dir, exist_ok=True)
         path = os.path.join(spec.out_dir, "checkpoint.msun")
         ckpt.save_model(path, model)
     _write_log(spec.out_dir, rows)
-    return TrainResult(model.eval(), rows, path, final_acc)
-
-
-def train_vanilla(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) -> TrainResult:
-    """Single-branch training at the canonical size only."""
-    model = build_vanilla(spec.backbone, Rng(spec.train.seed))
-    return _run_training(spec, model, train_ds, test_ds)
-
-
-def train_mst(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) -> TrainResult:
-    """Multi-scale training baseline: each batch is squeezed through a random
-    quantized size and upsampled back before the fixed-input forward."""
-    model = build_vanilla(spec.backbone, Rng(spec.train.seed))
-    return _run_training(spec, model, train_ds, test_ds)
-
-
-def train_msun(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) -> TrainResult:
-    """Multi-branch training over all quantized scales with the clamped
-    scale-invariance term."""
-    model = transform_to_msun(spec.backbone, len(spec.scales), spec.subnet_blocks,
-                              spec.scales, Rng(spec.train.seed))
-    return _run_training(spec, model, train_ds, test_ds)
+    return TrainResult(model.eval(), rows, path, test_acc)
 
 
 def run_experiment(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) -> TrainResult:
-    """Dispatch on the spec's method."""
-    if spec.method == "vanilla":
-        return train_vanilla(spec, train_ds, test_ds)
-    if spec.method == "mst":
-        return train_mst(spec, train_ds, test_ds)
-    return train_msun(spec, train_ds, test_ds)
+    """Build the spec's model and train it.
+
+    ``msun`` gets one subnet per scale feeding the unified network. ``vanilla``
+    and ``mst`` share the fixed-input model; they differ only in the views of
+    each batch that ``_run_training`` feeds it.
+    """
+    rng = Rng(spec.train.seed)
+    if spec.method == "msun":
+        model = MsunModel(spec.backbone, spec.scales, spec.subnet_blocks, rng)
+    else:
+        model = build_vanilla(spec.backbone, rng)
+    return _run_training(spec, model, train_ds, test_ds)
 
 
 def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> EvalReport:
@@ -211,21 +194,12 @@ def linear_probe(model_or_path, target: Dataset, epochs: int = 10,
     model.eval()
     train_ds, test_ds = split_dataset(target, 0.8, seed)
 
-    def extract(ds: Dataset) -> np.ndarray:
-        feats = []
-        with T.no_grad():
-            for start in range(0, len(ds), 256):
-                taps = {"pooled": None}
-                model.forward_infer(ds.images[start:start + 256], ds.native_size, taps=taps)
-                feats.append(taps["pooled"].data.copy())
-        return np.concatenate(feats, axis=0)
-
-    x_train, x_test = extract(train_ds), extract(test_ds)
+    x_train, x_test = (tap_activations(model, ds.images, ds.native_size, ["pooled"])["pooled"]
+                       for ds in (train_ds, test_ds))
     n_classes = len(target.class_names)
     head = Linear(x_train.shape[1], n_classes, Rng(seed))
     opt = SGD([head.weight, head.bias], momentum=0.9, weight_decay=0.0)
     order_rng = Rng(seed ^ 0xF00D)
-    from .layers import softmax_cross_entropy
     for epoch in range(epochs):
         perm = order_rng.permutation(len(train_ds))
         for start in range(0, len(train_ds), 128):
@@ -266,7 +240,7 @@ def ablation_grid(b_values: Sequence[int], s_values: Sequence[int],
         for s in s_values:
             try:
                 scales = ScaleSet(ablation_scales(backbone.canonical_size, s))
-                model = transform_to_msun(backbone, s, b, scales, Rng(train_cfg.seed))
+                model = MsunModel(backbone, scales, b, Rng(train_cfg.seed))
             except ValueError as exc:
                 rows.append(f"{b},{s},,,{exc}")
                 continue

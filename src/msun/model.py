@@ -422,14 +422,6 @@ def build_vanilla(spec: BackboneSpec, rng: Rng) -> MsunModel:
     return MsunModel(spec, ScaleSet([spec.canonical_size]), 0, rng)
 
 
-def transform_to_msun(spec: BackboneSpec, n_subnets: int, subnet_blocks: int,
-                      scales: ScaleSet, rng: Rng) -> MsunModel:
-    """Backbone -> multi-scale subnets + unified network per the scale set."""
-    if len(scales) != n_subnets:
-        raise ValueError(f"scale count {len(scales)} != subnet count {n_subnets}")
-    return MsunModel(spec, scales, subnet_blocks, rng)
-
-
 def si_loss(features: Sequence[Tensor]) -> Tensor:
     """Scale-invariance term: sum over scale pairs of mean squared difference."""
     shz = features[0].shape
@@ -464,6 +456,10 @@ def total_loss(logits_per_scale, labels, si: Tensor, lam: float):
 
 def _step_with_logits(model: MsunModel, batch_per_scale, labels, optimizer,
                       lam: float, lr: float):
+    """One optimizer step: zero grads, forward all branches, losses, update.
+
+    Returns the loss breakdown and the per-scale logits.
+    """
     model.zero_grad()
     logits, features = model.forward_train(batch_per_scale)
     si = si_loss(features)
@@ -478,8 +474,3 @@ def _step_with_logits(model: MsunModel, batch_per_scale, labels, optimizer,
     optimizer.step(lr)
     return breakdown, logits
 
-
-def training_step(model: MsunModel, batch_per_scale, labels, optimizer, lam: float,
-                  lr: float) -> LossBreakdown:
-    """One optimizer step: zero grads, forward all branches, losses, update."""
-    return _step_with_logits(model, batch_per_scale, labels, optimizer, lam, lr)[0]

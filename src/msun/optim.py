@@ -29,6 +29,8 @@ class TrainConfig:
             raise ValueError("weight decay must be >= 0")
         if self.lam < 0.0:
             raise ValueError("lambda must be >= 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_epochs > self.epochs:
             raise ValueError(f"warmup ({self.warmup_epochs} epochs) exceeds "
                              f"training length ({self.epochs} epochs)")

@@ -257,21 +257,6 @@ def relu(a: Tensor) -> Tensor:
     return from_op(a.data * mask, "relu", (a,), grad_fn)
 
 
-def elementwise(kind: str, a, b=None) -> Tensor:
-    """Dispatch over the elementwise primitive set by op-kind name."""
-    unary = {"relu": relu, "negate": neg}
-    binary = {"add": add, "subtract": sub, "multiply": mul}
-    if kind in unary:
-        if b is not None:
-            raise ValueError(f"{kind} takes a single operand")
-        return unary[kind](a)
-    if kind in binary:
-        return binary[kind](a, b)
-    if kind == "scalar-multiply":
-        return scale(a, b)
-    raise ValueError(f"unknown elementwise op kind: {kind!r}")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")

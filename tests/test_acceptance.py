@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from msun import (BackboneSpec, Rng, ScaleSet, Tensor, TrainConfig, build_vanilla,
-                  cka, gen_shapes, grad_check, layerwise_cka, load_idx, route_scale,
-                  save_idx, si_loss, total_loss, transform_to_msun)
+from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, TrainConfig,
+                  build_vanilla, cka, gen_shapes, grad_check, layerwise_cka, load_idx,
+                  route_scale, save_idx, si_loss, total_loss)
 from msun.analysis import count_flops, count_params, grad_cam, parse_pgm
 from msun.cli import main as cli_main
 from msun.experiments import ExperimentSpec, eval_multiscale, run_experiment
@@ -91,7 +91,7 @@ def test_criterion_1_gradient_correctness():
     scales = ScaleSet([4, 8])
     labels = np.array([0, 1])
     for seed in range(100):
-        model = transform_to_msun(spec, 2, 1, scales, Rng(20_000 + seed)).train()
+        model = MsunModel(spec, scales, 1, Rng(20_000 + seed)).train()
         rng = Rng(30_000 + seed)
         x = Tensor((rng.normal((2, 3, 8, 8)) * 0.4 + 0.5).astype(np.float32))
 
@@ -207,7 +207,7 @@ def test_criterion_4_flops_params_exact():
     flops_ok = by_name == audited and report.total_flops == sum(audited.values())
 
     big = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
-    b0 = count_params(transform_to_msun(big, 3, 0, ScaleSet([16, 32, 64]), Rng(0)))
+    b0 = count_params(MsunModel(big, ScaleSet([16, 32, 64]), 0, Rng(0)))
     van = count_params(build_vanilla(big, Rng(0)))
     check(4, "hand-audited conv fixture matches the spatially extended cost "
              "formula exactly; zero-block multi-scale params equal the "
@@ -354,8 +354,8 @@ def test_criterion_8_clamp_behavior():
     labels = np.array([0, 1, 2, 0, 1, 2])
 
     # lambda huge: parameter trajectories must be bit-identical to pure-CE steps
-    model_a = transform_to_msun(spec, 2, 1, scales, Rng(3)).train()
-    model_b = transform_to_msun(spec, 2, 1, scales, Rng(3)).train()
+    model_a = MsunModel(spec, scales, 1, Rng(3)).train()
+    model_b = MsunModel(spec, scales, 1, Rng(3)).train()
     opt_a = SGD(model_a.parameters(), 0.9, 0.0)
     opt_b = SGD(model_b.parameters(), 0.9, 0.0)
     all_clamped = True
@@ -374,7 +374,7 @@ def test_criterion_8_clamp_behavior():
                     in zip(model_a.named_params(), model_b.named_params()))
 
     # lambda zero: the invariance term must push gradients at initialization
-    model_c = transform_to_msun(spec, 2, 1, scales, Rng(3)).train()
+    model_c = MsunModel(spec, scales, 1, Rng(3)).train()
     model_c.zero_grad()
     _, feats = model_c.forward_train(batches)
     backward(maximum_scalar(si_loss(feats), 0.0))

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from msun import (BackboneSpec, Rng, ScaleSet, average_accuracy, build_vanilla,
-                  center_features, cka, count_flops, count_params, gen_shapes,
-                  grad_cam, layerwise_cka, pca_project, transform_to_msun)
+from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, average_accuracy,
+                  build_vanilla, center_features, cka, count_flops, count_params,
+                  gen_shapes, grad_cam, layerwise_cka, pca_project)
 from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm
 
 import oracles
@@ -94,32 +94,32 @@ class TestLayerwiseCka:
     SPEC = BackboneSpec((8, 16), (1, 1), "plain", 4, 32)
 
     def test_equal_scales_all_ones(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         probe = gen_shapes(0, 64, 4, 32).images
         report = layerwise_cka(model, probe, 32, 32)
         assert all(r.value == pytest.approx(1.0, abs=1e-9) for r in report.rows)
 
     def test_untrained_distinct_scales_in_range(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         probe = gen_shapes(1, 64, 4, 32).images
         report = layerwise_cka(model, probe, 16, 32)
         assert [r.layer for r in report.rows] == model.tap_names()
         assert all(0.0 <= r.value <= 1.0 + 1e-9 for r in report.rows)
 
     def test_unknown_tap_rejected(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         probe = gen_shapes(2, 64, 4, 32).images
         with pytest.raises(ValueError):
             layerwise_cka(model, probe, 16, 32, taps=["nope"])
 
     def test_min_samples_enforced(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         probe = gen_shapes(3, 32, 4, 32).images
         with pytest.raises(ValueError):
             layerwise_cka(model, probe, 16, 32)
 
     def test_csv_schema(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         probe = gen_shapes(4, 64, 4, 32).images
         text = layerwise_cka(model, probe, 16, 32, taps=["pooled"]).to_csv()
         lines = text.strip().split("\n")
@@ -155,7 +155,7 @@ class TestFlops:
 
     def test_msun_smallest_scale_costs_less(self):
         spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
-        model = transform_to_msun(spec, 3, 1, ScaleSet([16, 32, 64]), Rng(0))
+        model = MsunModel(spec, ScaleSet([16, 32, 64]), 1, Rng(0))
         small = count_flops(model, 16).total_flops
         large = count_flops(model, 64).total_flops
         assert small < large
@@ -163,7 +163,7 @@ class TestFlops:
     def test_b0_matches_vanilla_cost(self):
         spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
         vanilla = build_vanilla(spec, Rng(0))
-        msun = transform_to_msun(spec, 3, 0, ScaleSet([16, 32, 64]), Rng(0))
+        msun = MsunModel(spec, ScaleSet([16, 32, 64]), 0, Rng(0))
         assert count_flops(msun, 64).total_flops == count_flops(vanilla, 64).total_flops
 
     def test_csv_totals_row(self):
@@ -195,12 +195,12 @@ class TestParams:
 
     def test_b0_equals_vanilla(self):
         spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
-        assert count_params(transform_to_msun(spec, 3, 0, ScaleSet([16, 32, 64]), Rng(0))) \
+        assert count_params(MsunModel(spec, ScaleSet([16, 32, 64]), 0, Rng(0))) \
             == count_params(build_vanilla(spec, Rng(0)))
 
     def test_b1_s3_hand_summed(self):
         spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
-        model = transform_to_msun(spec, 3, 1, ScaleSet([16, 32, 64]), Rng(0))
+        model = MsunModel(spec, ScaleSet([16, 32, 64]), 1, Rng(0))
         stem_ds1 = 8 * 3 * 9 + 8 + 16      # conv3x3 + bias + bn affine
         stem_ds2 = 8 * 3 * 9 + 8 + 16
         stem_ds4 = 8 * 3 * 25 + 8 + 16
@@ -244,7 +244,7 @@ class TestGradCam:
     SPEC = BackboneSpec((8, 16), (1, 1), "plain", 4, 32)
 
     def _model_and_image(self):
-        model = transform_to_msun(self.SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(self.SPEC, ScaleSet([16, 32]), 1, Rng(0))
         ds = gen_shapes(0, 4, 4, 32)
         return model, ds.images[:1]
 
@@ -334,6 +334,15 @@ class TestPca:
         with pytest.warns(UserWarning):
             out = pca_project(x)
         assert np.allclose(out[:, 1], 0.0)
+
+    def test_top_direction_orthogonal_to_ones(self):
+        c = np.arange(10.0)
+        x = np.stack([c, -c, np.zeros(10)], axis=1)
+        with pytest.warns(UserWarning, match="component 1 zero-filled") as caught:
+            out = pca_project(x)
+        assert len(caught) == 1
+        assert np.allclose(out[:, 0], np.sqrt(2.0) * (c - c.mean()), atol=1e-12)
+        assert np.array_equal(out[:, 1], np.zeros(10))
 
     def test_sample_count_guard(self):
         with pytest.raises(ValueError):

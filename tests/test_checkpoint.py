@@ -5,7 +5,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from msun import BackboneSpec, Rng, ScaleSet, build_vanilla, transform_to_msun
+from msun import BackboneSpec, MsunModel, Rng, ScaleSet, build_vanilla
 from msun.checkpoint import (SnapshotError, load_model, load_snapshot, model_state,
                              save_model, save_snapshot)
 from msun.cli import main
@@ -62,7 +62,7 @@ class TestSnapshotFormat:
 class TestModelRoundtrip:
     def test_msun_model_roundtrip(self, tmp_path):
         path = str(tmp_path / "m.msun")
-        model = transform_to_msun(SPEC, 3, 1, ScaleSet([8, 16, 32]), Rng(3))
+        model = MsunModel(SPEC, ScaleSet([8, 16, 32]), 1, Rng(3))
         # leave a fingerprint in params and bn buffers
         model.head.bias.data[:] = np.arange(4, dtype=np.float32)
         model.unified.blocks[0][1].bn.running_means[0][:] = 0.5
@@ -88,13 +88,13 @@ class TestModelRoundtrip:
 
     def test_scale_table_in_header(self, tmp_path):
         path = str(tmp_path / "m.msun")
-        save_model(path, transform_to_msun(SPEC, 2, 1, ScaleSet([16, 32]), Rng(0)))
+        save_model(path, MsunModel(SPEC, ScaleSet([16, 32]), 1, Rng(0)))
         _, scales = load_snapshot(path)
         assert scales == [16, 32]
 
     def test_per_branch_stat_sets_serialized(self, tmp_path):
         path = str(tmp_path / "m.msun")
-        model = transform_to_msun(SPEC, 3, 1, ScaleSet([8, 16, 32]), Rng(0))
+        model = MsunModel(SPEC, ScaleSet([8, 16, 32]), 1, Rng(0))
         names = set(model_state(model))
         assert "unified.block1.bn.running_mean" in names
         assert "unified.block1.bn.running_mean.set0" in names
@@ -116,7 +116,7 @@ class TestModelRoundtrip:
                                         "reversed_scales"])
     def test_bad_metadata_is_a_format_error(self, tmp_path, capsys, defect):
         path = str(tmp_path / "m.msun")
-        model = transform_to_msun(SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(SPEC, ScaleSet([16, 32]), 1, Rng(0))
         state, scales = model_state(model), list(model.scales)
         if defect == "block_kind_7":
             state["meta.block_kind"] = np.asarray([7.0], np.float32)

@@ -56,6 +56,14 @@ class TestTrain:
         assert code == 2
         assert "train.learning_rate" in capsys.readouterr().err
 
+    def test_zero_epochs_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("train.epochs = 0\ntrain.warmup_epochs = 0\n")
+        code = main(["train", "--method", "vanilla", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "epochs" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_3(self, capsys, tmp_path):
         cfg = tmp_path / "diverge.cfg"
@@ -111,6 +119,20 @@ class TestEval:
         lines = capsys.readouterr().out.strip().split("\n")
         flops = [int(r.split(",")[2]) for r in lines[1:-1]]
         assert flops[0] == flops[1]    # fixed-size model: every input upsampled
+
+    def test_idx_config_needs_only_the_test_split(self, trained, tmp_path, capsys):
+        prefix = str(tmp_path / "test")
+        assert main(["gen-data", "--out", prefix, "--seed", "3", "--samples", "20",
+                     "--classes", "4", "--size", "32"]) == 0
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(f"data.kind = idx\ndata.idx_train_images =\n"
+                       f"data.idx_train_labels =\ndata.idx_test_images = {prefix}-images.idx\n"
+                       f"data.idx_test_labels = {prefix}-labels.idx\n")
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--sizes", "16,32", "--config", str(cfg)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("size,accuracy,flops\n")
 
     def test_csv_schema_parses(self, trained, tmp_path):
         out = tmp_path / "eval.csv"

@@ -9,7 +9,7 @@ import pytest
 from msun import BackboneSpec, Rng, ScaleSet, TrainConfig, gen_shapes
 from msun.experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
                               ablation_scales, eval_multiscale, linear_probe,
-                              run_experiment, train_msun, train_vanilla)
+                              evaluate_accuracy, run_experiment)
 
 SPEC = BackboneSpec((6, 12), (1, 1), "plain", 4, 32)
 SCALES = ScaleSet([8, 16, 32])
@@ -54,6 +54,17 @@ class TestTrainVanilla:
         log = os.path.join(os.path.dirname(vanilla_result.checkpoint_path), "train_log.csv")
         header = open(log).readline().strip()
         assert header == "epoch,split,loss_total,loss_ce,loss_si,clamped,accuracy,lr"
+
+
+class TestRunExperiment:
+    def test_final_accuracy_is_not_rounded(self, data):
+        test = gen_shapes(99, 7, 4, 32)
+        spec = ExperimentSpec("vanilla", SPEC, TrainConfig(epochs=1, warmup_epochs=0,
+                                                           batch_size=64, seed=0), SCALES)
+        result = run_experiment(spec, data[0], test)
+        exact = evaluate_accuracy(result.model, test, SPEC.canonical_size)
+        assert 0 < exact < 1          # k/7 needs more than the log's 6 decimals
+        assert result.final_test_accuracy == exact
 
 
 class TestTrainMst:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from msun import (BackboneSpec, Rng, ScaleSet, Tensor, build_vanilla, route_scale,
-                  si_loss, total_loss, training_step, transform_to_msun)
+from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, build_vanilla,
+                  route_scale, si_loss, total_loss)
 from msun.analysis import count_params
 from msun.layers import bilinear_resize
 from msun.model import LossBreakdown, _step_with_logits
@@ -95,7 +95,7 @@ class TestBuildVanilla:
 
 class TestTransform:
     def test_common_feature_shape(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0))
+        model = MsunModel(SPEC, SCALES, 1, Rng(0))
         assert model.feature_shape == (8, 8, 8)
         model.eval()
         for i, size in enumerate(SCALES):
@@ -103,45 +103,41 @@ class TestTransform:
             assert feats.data.shape[1:] == model.feature_shape
 
     def test_b0_degenerates_to_vanilla_params(self):
-        assert count_params(transform_to_msun(SPEC, 3, 0, SCALES, Rng(0))) == \
+        assert count_params(MsunModel(SPEC, SCALES, 0, Rng(0))) == \
             count_params(build_vanilla(SPEC, Rng(0)))
 
     def test_b1_overhead_is_small(self):
         vanilla = count_params(build_vanilla(SPEC, Rng(0)))
-        msun = count_params(transform_to_msun(SPEC, 3, 1, SCALES, Rng(0)))
+        msun = count_params(MsunModel(SPEC, SCALES, 1, Rng(0)))
         assert vanilla < msun < 1.6 * vanilla
 
     def test_s1_reproduces_vanilla_forward(self):
         x = small_batch(Rng(3), 32).data
         van = build_vanilla(SPEC, Rng(9)).eval()
-        s1 = transform_to_msun(SPEC, 1, 1, ScaleSet([32]), Rng(9)).eval()
+        s1 = MsunModel(SPEC, ScaleSet([32]), 1, Rng(9)).eval()
         assert np.array_equal(van.forward_infer(x, 32).data, s1.forward_infer(x, 32).data)
 
     def test_infeasible_scale_names_index(self):
         with pytest.raises(ValueError) as exc:
-            transform_to_msun(SPEC, 2, 1, ScaleSet([4, 32]), Rng(0))
+            MsunModel(SPEC, ScaleSet([4, 32]), 1, Rng(0))
         assert "index 0" in str(exc.value)
-
-    def test_scale_count_mismatch(self):
-        with pytest.raises(ValueError):
-            transform_to_msun(SPEC, 2, 1, SCALES, Rng(0))
 
     def test_subnet_blocks_bound(self):
         with pytest.raises(ValueError):
-            transform_to_msun(SPEC, 3, SPEC.total_blocks, SCALES, Rng(0))
+            MsunModel(SPEC, SCALES, SPEC.total_blocks, Rng(0))
 
     def test_largest_scale_must_match_canonical(self):
         with pytest.raises(ValueError):
-            transform_to_msun(SPEC, 2, 1, ScaleSet([8, 16]), Rng(0))
+            MsunModel(SPEC, ScaleSet([8, 16]), 1, Rng(0))
 
     def test_residual_kind_builds_and_runs(self):
         spec = BackboneSpec((8, 16), (1, 1), "residual", 4, 32)
-        model = transform_to_msun(spec, 2, 1, ScaleSet([16, 32]), Rng(0)).eval()
+        model = MsunModel(spec, ScaleSet([16, 32]), 1, Rng(0)).eval()
         out = model.forward_infer(small_batch(Rng(0), 20, 2).data, 20)
         assert out.data.shape == (2, 4)
 
     def test_checkpoint_name_scheme(self):
-        model = transform_to_msun(SPEC, 2, 1, ScaleSet([16, 32]), Rng(0))
+        model = MsunModel(SPEC, ScaleSet([16, 32]), 1, Rng(0))
         names = [n for n, _ in model.named_params()]
         assert "subnet1.stem.conv.weight" in names
         assert "subnet2.stem.conv.weight" in names
@@ -151,14 +147,14 @@ class TestTransform:
 
 class TestForwardTrain:
     def test_shape_contract(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0))
+        model = MsunModel(SPEC, SCALES, 1, Rng(0))
         batches = [small_batch(Rng(i), s) for i, s in enumerate(SCALES)]
         logits, feats = model.forward_train(batches)
         assert len(logits) == 3 and len(feats) == 3
         assert all(lg.data.shape == (4, 4) for lg in logits)
 
     def test_batch_size_mismatch(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0))
+        model = MsunModel(SPEC, SCALES, 1, Rng(0))
         batches = [small_batch(Rng(0), 8, 4), small_batch(Rng(0), 16, 3),
                    small_batch(Rng(0), 32, 4)]
         with pytest.raises(Exception):
@@ -167,7 +163,7 @@ class TestForwardTrain:
     def test_identical_branches_give_identical_logits(self):
         # one-scale-set copies: same weights, same input at each "scale"
         spec = BackboneSpec((6,), (1,), "plain", 3, 16)
-        model = transform_to_msun(spec, 2, 1, ScaleSet([8, 16]), Rng(4))
+        model = MsunModel(spec, ScaleSet([8, 16]), 1, Rng(4))
         src = model.subnets[1]
         dst = model.subnets[0]
         # make subnet 0 architecturally usable with subnet 1's weights: both
@@ -180,30 +176,30 @@ class TestForwardTrain:
         assert np.array_equal(a.data, b.data)
 
     def test_gradients_reach_every_parameter(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0))
+        model = MsunModel(SPEC, SCALES, 1, Rng(0))
         model.train()
         opt = SGD(model.parameters(), 0.0, 0.0)
         batches = [small_batch(Rng(i + 10), s) for i, s in enumerate(SCALES)]
-        training_step(model, batches, np.array([0, 1, 2, 3]), opt, 0.0, 0.0)
+        _step_with_logits(model, batches, np.array([0, 1, 2, 3]), opt, 0.0, 0.0)
         for name, p in model.named_params():
             assert p.grad is not None and np.any(p.grad != 0), name
 
 
 class TestForwardInfer:
     def test_native_size_skips_resize(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0)).eval()
+        model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
         x = small_batch(Rng(0), 8, 2).data
         logits = model.forward_infer(x, 8)
         assert logits.data.shape == (2, 4)
 
     def test_routes_exactly_one_branch(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0)).eval()
+        model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
         model.branch_calls = [0, 0, 0]
         model.forward_infer(small_batch(Rng(1), 13, 2).data, 13)
         assert model.branch_calls == [0, 1, 0]   # |13-16| = 3 beats |13-8| = 5
 
     def test_agrees_with_train_branch(self):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(0)).eval()
+        model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
         x = small_batch(Rng(2), 16)
         logits_infer = model.forward_infer(x.data, 16)
         logits_train, _ = model.forward_branch(1, x)
@@ -278,7 +274,7 @@ class TestTotalLoss:
 
 class TestTrainingStep:
     def _setup(self, lam=0.1, lr=0.05, momentum=0.9, wd=2e-5):
-        model = transform_to_msun(SPEC, 3, 1, SCALES, Rng(1)).train()
+        model = MsunModel(SPEC, SCALES, 1, Rng(1)).train()
         opt = SGD(model.parameters(), momentum, wd)
         rng = Rng(8)
         batches = [small_batch(rng, s) for s in SCALES]
@@ -287,29 +283,29 @@ class TestTrainingStep:
 
     def test_overfits_memorizable_batch(self):
         model, opt, batches, labels = self._setup()
-        first = training_step(model, batches, labels, opt, 0.1, 0.05)
+        first = _step_with_logits(model, batches, labels, opt, 0.1, 0.05)[0]
         last = first
         for _ in range(49):
-            last = training_step(model, batches, labels, opt, 0.1, 0.05)
+            last = _step_with_logits(model, batches, labels, opt, 0.1, 0.05)[0]
         assert last.total < first.total
 
     def test_huge_lambda_always_clamped(self):
         model, opt, batches, labels = self._setup()
         for _ in range(5):
-            bd = training_step(model, batches, labels, opt, 1e3, 0.01)
+            bd = _step_with_logits(model, batches, labels, opt, 1e3, 0.01)[0]
             assert bd.clamped
 
     def test_seed_repeatable_trajectories(self):
         def run():
             model, opt, batches, labels = self._setup()
-            return [training_step(model, batches, labels, opt, 0.1, 0.05).total
+            return [_step_with_logits(model, batches, labels, opt, 0.1, 0.05)[0].total
                     for _ in range(3)]
         assert run() == run()
 
     def test_zero_lr_zero_wd_keeps_params_bit_identical(self):
         model, opt, batches, labels = self._setup(wd=0.0)
         before = {n: p.data.copy() for n, p in model.named_params()}
-        training_step(model, batches, labels, opt, 0.1, 0.0)
+        _step_with_logits(model, batches, labels, opt, 0.1, 0.0)
         for n, p in model.named_params():
             assert np.array_equal(before[n], p.data), n
 
@@ -318,7 +314,7 @@ class TestTrainingStep:
         model, opt, batches, labels = self._setup()
         model.head.weight.data[...] = np.nan
         with pytest.raises(NonFiniteError) as exc:
-            training_step(model, batches, labels, opt, 0.1, 0.05)
+            _step_with_logits(model, batches, labels, opt, 0.1, 0.05)
         assert "cross-entropy" in str(exc.value) or "scale-invariance" in str(exc.value)
 
 
@@ -332,7 +328,7 @@ class TestConstantStemInputs:
         labels = np.arange(128) % 6
         grads, stem_grads = {}, {}
         for needs in (False, True):
-            model = transform_to_msun(spec, 3, 1, scales, Rng(4)).train()
+            model = MsunModel(spec, scales, 1, Rng(4)).train()
             views = [Tensor(v, requires_grad=needs) for v in images]
             _step_with_logits(model, views, labels, SGD(model.parameters(), 0.9, 2e-5),
                               0.1, 0.0)
@@ -348,7 +344,7 @@ class TestFullLossGradients:
     def test_full_loss_matches_finite_differences(self):
         spec = BackboneSpec((4,), (1,), "plain", 2, 8)
         scales = ScaleSet([4, 8])
-        model = transform_to_msun(spec, 2, 1, scales, Rng(5)).train()
+        model = MsunModel(spec, scales, 1, Rng(5)).train()
         labels = np.array([0, 1])
         rng = Rng(77)
         x = Tensor((rng.normal((2, 3, 8, 8)) * 0.4 + 0.5).astype(np.float32))

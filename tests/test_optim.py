@@ -32,6 +32,8 @@ class TestTrainConfig:
             TrainConfig(weight_decay=-1e-3)
         with pytest.raises(ValueError):
             TrainConfig(warmup_epochs=30, epochs=10)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=0, warmup_epochs=0)
 
 
 class TestSgdStep:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from msun import Rng, ShapeError, Tensor, backward, grad_check
-from msun.tensor import (add, elementwise, matmul, maximum_scalar, mul, neg,
-                         relu, scale, sub, tmean, tsum)
+from msun.tensor import (add, matmul, maximum_scalar, mul, neg, relu, scale, sub,
+                         tmean, tsum)
 
 from oracles import matmul_loops
 
@@ -16,15 +16,15 @@ def arr(*values):
 
 class TestElementwise:
     def test_add(self):
-        out = elementwise("add", Tensor(arr(1, 2)), Tensor(arr(3, 4)))
+        out = add(Tensor(arr(1, 2)), Tensor(arr(3, 4)))
         assert np.array_equal(out.data, arr(4, 6))
 
     def test_relu(self):
-        out = elementwise("relu", Tensor(arr(-1, 0, 2)))
+        out = relu(Tensor(arr(-1, 0, 2)))
         assert np.array_equal(out.data, arr(0, 0, 2))
 
     def test_multiply_by_zero_scalar(self):
-        out = elementwise("scalar-multiply", Tensor(arr(2, 3)), 0.0)
+        out = scale(Tensor(arr(2, 3)), 0.0)
         assert np.array_equal(out.data, arr(0, 0))
 
     def test_subtract_negate(self):
@@ -39,10 +39,6 @@ class TestElementwise:
         with pytest.raises(ShapeError) as exc:
             add(Tensor(arr(1, 2)), Tensor(arr(1, 2, 3)))
         assert "(2,)" in str(exc.value) and "(3,)" in str(exc.value)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementwise("divide", Tensor(arr(1)), Tensor(arr(2)))
 
 
 class TestMatmul:
