@@ -11,17 +11,20 @@ numbers, so a model can be rebuilt from the file alone.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .fileio import atomic_write
 from .model import BackboneSpec, MsunModel, ScaleSet
 from .rng import Rng
 
 MAGIC = b"MSUN"
 VERSION = 1
+MAX_RANK = 32   # numpy 1.x's array rank limit; model tensors have rank <= 4
 
 _KINDS = ("plain", "residual")
 
@@ -32,7 +35,7 @@ class SnapshotError(ValueError):
 
 def save_snapshot(path: str, tensors: "OrderedDict[str, np.ndarray]",
                   scales: Sequence[int]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(scales)))
@@ -79,16 +82,25 @@ def load_snapshot(path: str) -> Tuple["OrderedDict[str, np.ndarray]", List[int]]
         chunk, off = take(4, off)
         name_len = struct.unpack("<I", chunk)[0]
         chunk, off = take(name_len, off)
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"{path}: tensor name at byte {off - name_len} "
+                                f"is not UTF-8 ({exc.reason})") from exc
         chunk, off = take(4, off)
         rank = struct.unpack("<I", chunk)[0]
+        if rank > MAX_RANK:
+            raise SnapshotError(f"{path}: tensor {name!r} has rank {rank}, "
+                                f"more than {MAX_RANK}")
         dims = []
         for _ in range(rank):
             chunk, off = take(4, off)
             dims.append(struct.unpack("<I", chunk)[0])
-        count = int(np.prod(dims)) if dims else 1
-        chunk, off = take(4 * count, off)
-        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(dims).copy()
+        chunk, off = take(4 * math.prod(dims), off)   # exact: no int64 overflow
+        try:
+            tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:      # zero-size, but the other dims overflow
+            raise SnapshotError(f"{path}: tensor {name!r} has dims {dims}: {exc}") from exc
     if off != len(buf):
         raise SnapshotError(f"{path}: {len(buf) - off} trailing bytes")
     return tensors, scales
@@ -114,28 +126,33 @@ def save_model(path: str, model: MsunModel) -> None:
     save_snapshot(path, model_state(model), list(model.scales))
 
 
-def _meta_ints(tensors, name: str, path: str, scalar: bool = False):
-    """Pop a ``meta.*`` tensor as whole non-negative numbers (one if scalar)."""
+def _meta_ints(tensors, name: str, path: str, most: int, scalar: bool = False):
+    """Pop a ``meta.*`` tensor as whole numbers in [0, most] (one if scalar)."""
     try:
         arr = tensors.pop(name)
     except KeyError as exc:
         raise SnapshotError(f"{path}: missing architecture tensor {exc}") from exc
     if (arr.ndim != 1 or (scalar and arr.size != 1) or not np.all(np.isfinite(arr))
-            or np.any(arr < 0) or np.any(arr != np.floor(arr))):
+            or np.any(arr < 0) or np.any(arr > most) or np.any(arr != np.floor(arr))):
         raise SnapshotError(f"{path}: {name} holds {arr.tolist()}, expected "
-                            f"{'one' if scalar else 'a list of'} whole non-negative numbers")
+                            f"{'one' if scalar else 'a list of'} whole numbers "
+                            f"from 0 to {most}")
     values = tuple(int(v) for v in arr)
     return values[0] if scalar else values
 
 
 def load_model(path: str) -> MsunModel:
     tensors, scales = load_snapshot(path)
-    widths = _meta_ints(tensors, "meta.stage_widths", path)
-    blocks = _meta_ints(tensors, "meta.stage_blocks", path)
-    kind = _meta_ints(tensors, "meta.block_kind", path, scalar=True)
-    num_classes = _meta_ints(tensors, "meta.num_classes", path, scalar=True)
-    canonical = _meta_ints(tensors, "meta.canonical_size", path, scalar=True)
-    subnet_blocks = _meta_ints(tensors, "meta.subnet_blocks", path, scalar=True)
+    # A width or class count is the length of a stored vector and every block
+    # stores tensors, so larger numbers cannot describe this file. Rejecting
+    # them keeps a corrupt number from sizing the model built below.
+    n_values, n_tensors = sum(a.size for a in tensors.values()), len(tensors)
+    widths = _meta_ints(tensors, "meta.stage_widths", path, n_values)
+    blocks = _meta_ints(tensors, "meta.stage_blocks", path, n_tensors)
+    kind = _meta_ints(tensors, "meta.block_kind", path, n_tensors, scalar=True)
+    num_classes = _meta_ints(tensors, "meta.num_classes", path, n_values, scalar=True)
+    canonical = _meta_ints(tensors, "meta.canonical_size", path, 2**31, scalar=True)
+    subnet_blocks = _meta_ints(tensors, "meta.subnet_blocks", path, n_tensors, scalar=True)
     if kind >= len(_KINDS):
         raise SnapshotError(f"{path}: meta.block_kind {kind} is not one of "
                             f"{list(range(len(_KINDS)))} ({', '.join(_KINDS)})")

@@ -17,6 +17,7 @@ from .config import Config, ConfigError, load_config
 from .data import IdxFormatError, gen_shapes, load_idx, save_idx
 from .experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
                           eval_multiscale, run_experiment)
+from .fileio import atomic_write
 from .layers import resize_images
 from .tensor import NonFiniteError
 
@@ -57,7 +58,7 @@ def _load_cfg(args) -> Config:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
+        with atomic_write(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
+from .fileio import atomic_write
 from .model import BackboneSpec, ScaleSet
 from .optim import TrainConfig
 
@@ -94,7 +95,7 @@ class Config:
 
     def write_resolved(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "resolved-config.txt"), "w") as fh:
+        with atomic_write(os.path.join(out_dir, "resolved-config.txt")) as fh:
             fh.write(self.resolved_text())
 
 

@@ -17,6 +17,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
 from .layers import resize_images
 from .rng import Rng
 
@@ -193,10 +194,10 @@ def save_idx(ds: Dataset, images_path: str, labels_path: str) -> None:
     """Write the red channel as u8 IDX images plus a u8 IDX label file."""
     n, _, h, w = ds.images.shape
     pixels = np.rint(ds.images[:, 0] * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
+    with atomic_write(images_path, binary=True) as fh:
         fh.write(struct.pack(">IIII", _IMAGES_MAGIC, n, h, w))
         fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
+    with atomic_write(labels_path, binary=True) as fh:
         fh.write(struct.pack(">II", _LABELS_MAGIC, n))
         fh.write(ds.labels.astype(np.uint8).tobytes())
 

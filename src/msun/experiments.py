@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -17,6 +18,7 @@ from . import checkpoint as ckpt
 from . import tensor as T
 from .analysis import EvalReport, EvalRow, count_flops, count_params, tap_activations
 from .data import Dataset, make_multiscale, prefetch_batches, split_dataset
+from .fileio import atomic_write
 from .layers import Linear, resize_images, softmax_cross_entropy
 from .model import BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla
 from .optim import SGD, TrainConfig, lr_at
@@ -26,6 +28,7 @@ from .tensor import NonFiniteError, Tensor
 METHODS = ("vanilla", "mst", "msun")
 
 LOG_HEADER = "epoch,split,loss_total,loss_ce,loss_si,clamped,accuracy,lr"
+TIMING_HEADER = "epoch,seconds,samples_per_s"
 
 
 @dataclass
@@ -76,12 +79,12 @@ class TrainResult:
     final_test_accuracy: float
 
 
-def _write_log(out_dir: Optional[str], rows: List[str]) -> None:
+def _write_csv(out_dir: Optional[str], name: str, header: str, rows: List[str]) -> None:
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "train_log.csv"), "w") as fh:
-        fh.write(LOG_HEADER + "\n")
+    with atomic_write(os.path.join(out_dir, name)) as fh:
+        fh.write(header + "\n")
         fh.write("\n".join(rows) + "\n")
 
 
@@ -96,9 +99,11 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
     lam = cfg.lam if spec.method == "msun" else 0.0
 
     rows: List[str] = []
+    timing: List[str] = []   # wall times stay out of the byte-compared train_log.csv
     step = 0
     model.train()
     for epoch in range(cfg.epochs):
+        started = time.perf_counter()
         sums = np.zeros(4)   # total, ce, si, clamped
         batches = make_multiscale(
             train_ds,
@@ -129,6 +134,8 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
         rows.append(f"{epoch},train,{avg[0]:.6f},{avg[1]:.6f},{avg[2]:.6f},"
                     f"{avg[3]:.4f},{train_acc:.6f},{last_lr:.8f}")
         rows.append(f"{epoch},test,,,,,{test_acc:.6f},")
+        seconds = time.perf_counter() - started
+        timing.append(f"{epoch},{seconds:.6f},{len(train_ds) / seconds:.3f}")
         model.train()
 
     path = None
@@ -136,7 +143,8 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
         os.makedirs(spec.out_dir, exist_ok=True)
         path = os.path.join(spec.out_dir, "checkpoint.msun")
         ckpt.save_model(path, model)
-    _write_log(spec.out_dir, rows)
+    _write_csv(spec.out_dir, "train_log.csv", LOG_HEADER, rows)
+    _write_csv(spec.out_dir, "timing.csv", TIMING_HEADER, timing)
     return TrainResult(model.eval(), rows, path, test_acc)
 
 

@@ -2,9 +2,14 @@
 
 Each op is a fused tape node with a hand-derived backward rule; the heavy
 lifting runs through im2col + GEMM in float32 with float64 statistics and
-loss reductions. Backward rules skip operands that do not require grad:
-a stem convolution over raw images computes no image gradient (no col2im),
-and a linear map over constant features none for its input.
+loss reductions. The window kernels work a few samples or one strided view
+at a time so that each pass over memory is a long contiguous run that stays
+in cache: conv im2col and GEMM are blocked by samples, the conv input
+gradient is summed in stride-phase planes, max-pool is a running maximum
+with per-offset first-max masks, and batch norm works in place. None of
+this changes a float operation or its order. Backward rules skip operands
+that do not require grad: a stem convolution over raw images computes no
+image gradient, and a linear map over constant features none for its input.
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
@@ -14,106 +19,163 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as _tape
 from .rng import Rng
 from .tensor import DTYPE, ShapeError, Tensor, from_op, _note_branch
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Patch matrix [N, C*k*k, Ho*Wo]; plain strided copies, GEMM-ready."""
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if hp < k or wp < k:
-        raise ShapeError(f"spatial size {h}x{w} with pad {pad} is smaller than kernel {k}")
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj] = xp[:, :, di:di + ho * stride:stride,
-                                    dj:dj + wo * stride:stride]
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+_BLOCK = 8   # samples per window block; its columns and planes stay in cache
 
 
-def _col2im(gcols: np.ndarray, x_shape, k: int, stride: int, pad: int, ho: int, wo: int):
+def _conv_input_grad(w2: np.ndarray, g4: np.ndarray, x_shape, k: int, stride: int,
+                     pad: int) -> np.ndarray:
+    """Gradient w.r.t. the conv input, accumulated in stride-phase planes.
+
+    Padded-grid row ``i`` lives in phase plane ``i % stride`` at row
+    ``i // stride``. With ``g`` widened by zeros to the plane width ``wq``,
+    the columns of kernel offset (di, dj) for one (sample, channel) land on
+    one contiguous run of their plane, so each offset is a single add of
+    runs. Every element receives its terms in (di, dj) order starting from
+    zero, as a scatter onto the padded grid would; the widened columns only
+    add zeros. The planes are then interleaved back into the input grid.
+    """
     n, c, h, w = x_shape
-    gp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
-    g6 = gcols.reshape(n, c, k, k, ho, wo)
-    for di in range(k):
-        for dj in range(k):
-            gp[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += \
-                g6[:, :, di, dj]
-    if pad:
-        return gp[:, :, pad:pad + h, pad:pad + w]
-    return gp
+    m, ho, wo = g4.shape[1], g4.shape[2], g4.shape[3]
+    s = stride
+    hp, wp = h + 2 * pad, w + 2 * pad
+    hq, wq = -(-hp // s), -(-wp // s)
+    run = (ho - 1) * wq + wo
+    dt = np.result_type(w2, g4)
+    cap = min(n, _BLOCK)
+    gwide = np.zeros((cap, m, ho, wq), dtype=g4.dtype)
+    gcols = np.empty((cap, c, k, k, ho * wq), dtype=dt)
+    planes = np.empty((cap, c, s, s, hq * wq), dtype=dt)
+    # input rows r0, r0+s, ... share phase (r0 + pad) % s; they start at
+    # plane row (r0 + pad) // s
+    phases = [(r0, (r0 + pad) % s, (r0 + pad) // s, len(range(r0, h, s)))
+              for r0 in range(min(s, h))]
+    cphases = [(c0, (c0 + pad) % s, (c0 + pad) // s, len(range(c0, w, s)))
+               for c0 in range(min(s, w))]
+    gx = np.empty(x_shape, dtype=dt)
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        nb = b - a
+        gwide[:nb, :, :, :wo] = g4[a:b]
+        np.matmul(w2.T, gwide[:nb].reshape(nb, m, ho * wq),
+                  out=gcols[:nb].reshape(nb, c * k * k, ho * wq))
+        blk = planes[:nb]
+        blk.fill(0)
+        for di in range(k):
+            for dj in range(k):
+                off = (di // s) * wq + dj // s
+                blk[:, :, di % s, dj % s, off:off + run] += gcols[:nb, :, di, dj, :run]
+        grid = blk.reshape(nb, c, s, s, hq, wq)
+        for r0, pi, qr, nr in phases:
+            for c0, pj, qc, nc in cphases:
+                gx[a:b, :, r0::s, c0::s] = grid[:, :, pi, pj, qr:qr + nr, qc:qc + nc]
+    return gx
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation with zero padding; bias added per output channel."""
+    """Cross-correlation with zero padding; bias added per output channel.
+
+    The im2col columns are filled ``_BLOCK`` samples at a time and each
+    block's per-sample GEMMs run while it is still in cache; the whole
+    column buffer is kept for the weight gradient.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
     m, cin, k, _ = weight.shape
     if x.shape[1] != cin:
         raise ShapeError(f"conv2d: input has {x.shape[1]} channels, weight expects {cin}")
-    cols, ho, wo = _im2col(x.data, k, stride, pad)
+    n, _, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < k or wp < k:
+        raise ShapeError(f"spatial size {h}x{w} with pad {pad} is smaller than kernel {k}")
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xd = x.data
     w2 = weight.data.reshape(m, cin * k * k)
-    out = np.matmul(w2, cols)                     # [N, M, Ho*Wo]
-    out += bias.data[None, :, None]
-    n = x.shape[0]
+    cols6 = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
+    cols = cols6.reshape(n, cin * k * k, ho * wo)
+    out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
+    xp = np.zeros((min(n, _BLOCK), cin, hp, wp), dtype=xd.dtype) if pad else None
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        src = xd[a:b]
+        if pad:
+            src = xp[:b - a]
+            src[:, :, pad:pad + h, pad:pad + w] = xd[a:b]
+        for di in range(k):
+            for dj in range(k):
+                cols6[a:b, :, di, dj] = src[:, :, di:di + ho * stride:stride,
+                                            dj:dj + wo * stride:stride]
+        np.matmul(w2, cols[a:b], out=out[a:b])
+        out[a:b] += bias.data[None, :, None]
     x_shape = x.shape
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(bias.data.dtype)
-        if not x.requires_grad:                   # raw images: no col2im
+        if not x.requires_grad:                   # raw images: no input gradient
             return None, gw, gb
-        gcols = np.matmul(w2.T, g3)               # [N, C*k*k, Ho*Wo]
-        gx = _col2im(gcols, x_shape, k, stride, pad, ho, wo)
-        return gx, gw, gb
+        return _conv_input_grad(w2, g.reshape(n, m, ho, wo), x_shape, k, stride, pad), gw, gb
 
     return from_op(out.reshape(n, m, ho, wo), "conv2d", (x, weight, bias), grad_fn)
 
 
+def _pool_views(x: np.ndarray, window: int, stride: int, ho: int, wo: int):
+    """The window**2 strided views of ``x``, one per window offset, row-major."""
+    return [x[:, :, di:di + (ho - 1) * stride + 1:stride, dj:dj + (wo - 1) * stride + 1:stride]
+            for di in range(window) for dj in range(window)]
+
+
+def _pool_masks(views, out: np.ndarray):
+    """One bool mask per view marking where that window offset holds its
+    window's first maximum; every window is marked exactly once."""
+    taken = views[0] == out
+    masks = [taken.copy()]
+    for v in views[1:]:
+        hit = v == out
+        hit &= ~taken
+        taken |= hit
+        masks.append(hit)
+    return masks
+
+
 def maxpool2d(x: Tensor, window: int, stride: Optional[int] = None) -> Tensor:
-    """Per-window maximum; gradient routes to the first (lowest flat index) argmax."""
+    """Per-window maximum; gradient routes to the first (lowest flat index) argmax.
+
+    The forward is a running maximum over the window offsets' strided views.
+    The backward marks each window's first maximum with one mask per offset
+    and adds ``g * mask`` into that offset's view of the input gradient, so
+    disjoint and overlapping windows share one path.
+    """
     stride = window if stride is None else stride
     n, c, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(f"pool window {window} exceeds spatial size {h}x{w}")
-    v = sliding_window_view(x.data, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = v.shape[2], v.shape[3]
-    flat = v.reshape(n, c, ho, wo, window * window)
-    arg = flat.argmax(axis=4)
+    ho, wo = (h - window) // stride + 1, (w - window) // stride + 1
+    views = _pool_views(x.data, window, stride, ho, wo)
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, out, out=out)   # a tie keeps ``out``: the first max, even for +-0
     if _tape._branch_sink is not None:
+        arg = sum(o * mask for o, mask in enumerate(_pool_masks(views, out)))
         _note_branch(arg.astype(np.uint8).tobytes())
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
 
     def grad_fn(g):
-        if stride >= window:
-            # windows are disjoint: direct scatter, one unit per window
-            buf = np.zeros((n, c, ho, wo, window * window), dtype=g.dtype)
-            np.put_along_axis(buf, arg[..., None], g[..., None], axis=4)
-            buf = buf.reshape(n, c, ho, wo, window, window)
-            gx = np.zeros((n, c, h, w), dtype=g.dtype)
-            for di in range(window):
-                for dj in range(window):
-                    gx[:, :, di:di + ho * stride:stride,
-                       dj:dj + wo * stride:stride] = buf[:, :, :, :, di, dj]
-            return (gx,)
-        rows = (np.arange(ho) * stride)[None, None, :, None] + arg // window
-        cols = (np.arange(wo) * stride)[None, None, None, :] + arg % window
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        idx = ((ni * c + ci) * h + rows) * w + cols
-        gx = np.zeros(n * c * h * w, dtype=g.dtype)
-        np.add.at(gx, idx.reshape(-1), g.reshape(-1))
-        return (gx.reshape(n, c, h, w),)
+        gx = np.zeros((n, c, h, w), dtype=g.dtype)
+        masks = _pool_masks(views, out)      # built here: no_grad passes skip them
+        # offsets in reverse: an input element shared by overlapping windows
+        # then gets its terms in row-major window order
+        for view, mask in zip(reversed(_pool_views(gx, window, stride, ho, wo)),
+                              reversed(masks)):
+            view += g * mask
+        return (gx,)
 
-    return from_op(np.ascontiguousarray(out), "maxpool2d", (x,), grad_fn)
+    return from_op(out, "maxpool2d", (x,), grad_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -171,21 +233,31 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         var = running_var.astype(np.float64)
         xc = x.data - running_mean[None, :, None, None].astype(dt)
     inv = (1.0 / np.sqrt(var + eps)).astype(dt)[None, :, None, None]
-    xhat = xc * inv
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat = xc
+    xhat *= inv
+    out = gamma.data[None, :, None, None] * xhat
+    shift = beta.data[None, :, None, None]
+    out = np.add(out, shift, out=out if np.result_type(out, shift) == out.dtype else None)
     m = n * h * w
 
     def grad_fn(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
+        t = g * xhat
+        dgamma = t.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
         dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
         dxhat = g * gamma.data[None, :, None, None]
         if not train:
-            return dxhat * inv, dgamma, dbeta
+            dxhat *= inv
+            return dxhat, dgamma, dbeta
         s1 = dxhat.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        s2 = (dxhat * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        gx = (inv / m) * (m * dxhat - s1[None, :, None, None]
-                          - xhat * s2[None, :, None, None])
-        return gx, dgamma, dbeta
+        np.multiply(dxhat, xhat, out=t)
+        s2 = t.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
+        # gx = (inv / m) * (m * dxhat - s1 - xhat * s2), operation by operation
+        np.multiply(xhat, s2[None, :, None, None], out=t)
+        dxhat *= m
+        dxhat -= s1[None, :, None, None]
+        dxhat -= t
+        dxhat *= inv / m
+        return dxhat, dgamma, dbeta
 
     return from_op(out, "batchnorm2d", (x, gamma, beta), grad_fn)
 

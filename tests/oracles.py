@@ -143,3 +143,109 @@ def si_pairwise(features):
             d = features[i].astype(np.float64) - features[j].astype(np.float64)
             total += float((d * d).mean())
     return total
+
+
+# --------------------------------------------------------------------------
+# Whole-array window formulas: the engine's earlier kernels, kept as exact
+# references. The cache-blocked kernels must reproduce them bit for bit.
+# --------------------------------------------------------------------------
+
+def im2col(x, k, stride, pad):
+    """Patch matrix [N, C*k*k, Ho*Wo] by one strided copy per kernel offset."""
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            cols[:, :, di, dj] = xp[:, :, di:di + ho * stride:stride,
+                                    dj:dj + wo * stride:stride]
+    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+
+
+def col2im(gcols, x_shape, k, stride, pad, ho, wo):
+    """Scatter-add patch gradients onto a zeroed padded grid, offset by offset."""
+    n, c, h, w = x_shape
+    gp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+    g6 = gcols.reshape(n, c, k, k, ho, wo)
+    for di in range(k):
+        for dj in range(k):
+            gp[:, :, di:di + ho * stride:stride, dj:dj + wo * stride:stride] += \
+                g6[:, :, di, dj]
+    return gp[:, :, pad:pad + h, pad:pad + w]
+
+
+def conv2d_im2col(x, w, b, g, stride, pad):
+    """Output and (input, weight, bias) gradients for output gradient ``g``."""
+    n = x.shape[0]
+    m, cin, k, _ = w.shape
+    cols, ho, wo = im2col(x, k, stride, pad)
+    w2 = w.reshape(m, cin * k * k)
+    out = np.matmul(w2, cols)
+    out += b[None, :, None]
+    g3 = g.reshape(n, m, ho * wo)
+    gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(b.dtype)
+    gx = col2im(np.matmul(w2.T, g3), x.shape, k, stride, pad, ho, wo)
+    return out.reshape(n, m, ho, wo), gx, gw, gb
+
+
+def maxpool2d_argmax(x, window, stride):
+    """Output and first-argmax index (row-major in the window) of every
+    window, via an argmax over copied windows."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    n, c, h, w = x.shape
+    v = sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = v.shape[2], v.shape[3]
+    flat = v.reshape(n, c, ho, wo, window * window)
+    arg = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    return np.ascontiguousarray(out), arg
+
+
+def maxpool2d_backward_loops(x, g, window, stride):
+    """Each window's gradient goes to its first maximum in row-major window
+    order; windows are visited row-major and overlapping windows sum."""
+    n, c, h, w = x.shape
+    ho, wo = g.shape[2], g.shape[3]
+    gx = np.zeros(x.shape, dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for oi in range(ho):
+                for oj in range(wo):
+                    best = None
+                    for di in range(window):
+                        for dj in range(window):
+                            v = x[ni, ci, oi * stride + di, oj * stride + dj]
+                            if best is None or v > best[0]:
+                                best = (v, di, dj)
+                    gx[ni, ci, oi * stride + best[1], oj * stride + best[2]] += g[ni, ci, oi, oj]
+    return gx
+
+
+def batchnorm2d_formulas(x, gamma, beta, running_mean, running_var, train, g,
+                         eps=1e-5):
+    """Output and (input, gamma, beta) gradients, one temporary per operation."""
+    n, c, h, w = x.shape
+    dt = x.dtype
+    if train:
+        mu = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        xc = x - mu[None, :, None, None].astype(dt)
+        var = np.mean(xc * xc, axis=(0, 2, 3), dtype=np.float64)
+    else:
+        var = running_var.astype(np.float64)
+        xc = x - running_mean[None, :, None, None].astype(dt)
+    inv = (1.0 / np.sqrt(var + eps)).astype(dt)[None, :, None, None]
+    xhat = xc * inv
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    m = n * h * w
+    dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32)
+    dxhat = g * gamma[None, :, None, None]
+    if not train:
+        return out, dxhat * inv, dgamma, dbeta
+    s1 = dxhat.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
+    s2 = (dxhat * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
+    gx = (inv / m) * (m * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
+    return out, gx, dgamma, dbeta

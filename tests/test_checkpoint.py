@@ -113,7 +113,7 @@ class TestModelRoundtrip:
         assert "head.bias" in str(exc.value)
 
     @pytest.mark.parametrize("defect", ["block_kind_7", "nan_num_classes",
-                                        "reversed_scales"])
+                                        "reversed_scales", "huge_width"])
     def test_bad_metadata_is_a_format_error(self, tmp_path, capsys, defect):
         path = str(tmp_path / "m.msun")
         model = MsunModel(SPEC, ScaleSet([16, 32]), 1, Rng(0))
@@ -122,6 +122,8 @@ class TestModelRoundtrip:
             state["meta.block_kind"] = np.asarray([7.0], np.float32)
         elif defect == "nan_num_classes":
             state["meta.num_classes"] = np.asarray([np.nan], np.float32)
+        elif defect == "huge_width":      # one flipped exponent bit of 8.0
+            state["meta.stage_widths"] = np.asarray([2.0 ** 35, 16], np.float32)
         else:
             scales = scales[::-1]
         save_snapshot(path, state, scales)

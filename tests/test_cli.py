@@ -1,12 +1,15 @@
 """Command-line contract: flags, exit codes, artifact schemas."""
 
+import math
 import os
 import time
 
 import numpy as np
 import pytest
 
+from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
+from msun.checkpoint import save_model
 from msun.cli import main
 from msun.data import load_idx
 
@@ -236,6 +239,88 @@ train.warmup_epochs = 0
         code = main(["train", "--method", "vanilla", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 4
+
+
+class TestHostileFiles:
+    """Seeded, bounded fuzzing of the two binary formats through the CLI.
+
+    A truncated file must exit 4. A flipped bit must exit 4, or 0 where the
+    flip leaves a well-formed file (a changed pixel or weight); never 2, the
+    usage-error code, and never a traceback.
+    """
+
+    SPEC = BackboneSpec((4, 8), (1, 1), "plain", 3, 16)
+    FLIPS = 300
+
+    @staticmethod
+    def _snapshot_fields(raw):
+        """Start offset of every header field of a snapshot, payloads excluded."""
+        word = lambda at: int.from_bytes(raw[at:at + 4], "little")
+        fields = [0, 4, 8]                           # magic, version, scale count
+        off = 12 + 4 * word(8)
+        fields += list(range(12, off + 1, 4))        # scale table, tensor count
+        n_tensors, off = word(off), off + 4
+        for _ in range(n_tensors):
+            fields += [off, off + 4]                 # name length, name
+            off += 4 + word(off)
+            rank = word(off)
+            dims = [word(off + 4 + 4 * i) for i in range(rank)]
+            fields += [off + 4 * i for i in range(rank + 1)]   # rank, dims
+            off += 4 + 4 * rank
+            fields.append(off)                       # payload
+            off += 4 * math.prod(dims)
+        assert off == len(raw)
+        return fields
+
+    @staticmethod
+    def _mutants(raw, fields, flips, seed):
+        """Truncations at and one byte into every field, then seeded bit flips."""
+        for at in sorted(set(fields)):
+            for cut in (at, at + 1):
+                if cut < len(raw):
+                    yield f"truncated at {cut}", raw[:cut], True
+        rng = np.random.default_rng(seed)
+        for bit in rng.integers(0, 8 * len(raw), size=flips):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            yield f"bit {bit} flipped", bytes(flipped), False
+
+    @staticmethod
+    def _check(cases, path, argv, capsys):
+        bad = []
+        for what, data, truncated in cases:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            code = main(argv)
+            capsys.readouterr()
+            if code not in ((4,) if truncated else (0, 4)):
+                bad.append((what, code))
+        assert not bad, bad
+
+    def test_checkpoint_exits_0_or_4(self, tmp_path, capsys):
+        good = str(tmp_path / "good.msun")
+        save_model(good, MsunModel(self.SPEC, ScaleSet([8, 16]), 1, Rng(0)))
+        raw = open(good, "rb").read()
+        path = str(tmp_path / "mutant.msun")
+        self._check(self._mutants(raw, self._snapshot_fields(raw), self.FLIPS, 5), path,
+                    ["flops", "--checkpoint", path, "--size", "16"], capsys)
+
+    def test_idx_pair_exits_0_or_4(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.msun")
+        save_model(ckpt, MsunModel(self.SPEC, ScaleSet([8, 16]), 1, Rng(0)))
+        prefix = str(tmp_path / "d")
+        assert main(["gen-data", "--out", prefix, "--seed", "2", "--samples", "12",
+                     "--classes", "3", "--size", "16"]) == 0
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(f"data.kind = idx\ndata.idx_test_images = {prefix}-images.idx\n"
+                       f"data.idx_test_labels = {prefix}-labels.idx\n")
+        argv = ["eval", "--checkpoint", ckpt, "--sizes", "16", "--config", str(cfg)]
+        for name, fields, seed in (("images", [0, 4, 8, 12, 16], 6), ("labels", [0, 4, 8], 7)):
+            path = f"{prefix}-{name}.idx"
+            raw = open(path, "rb").read()
+            self._check(self._mutants(raw, fields, self.FLIPS // 2, seed), path, argv, capsys)
+            with open(path, "wb") as fh:
+                fh.write(raw)
 
 
 class TestAblationCmd:

@@ -55,6 +55,14 @@ class TestTrainVanilla:
         header = open(log).readline().strip()
         assert header == "epoch,split,loss_total,loss_ce,loss_si,clamped,accuracy,lr"
 
+    def test_timing_side_file(self, vanilla_result):
+        path = os.path.join(os.path.dirname(vanilla_result.checkpoint_path), "timing.csv")
+        lines = open(path).read().splitlines()
+        assert lines[0] == "epoch,seconds,samples_per_s"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(CFG.epochs))
+        assert all(float(r[1]) > 0 and float(r[2]) > 0 for r in rows)
+
 
 class TestRunExperiment:
     def test_final_accuracy_is_not_rounded(self, data):

@@ -7,7 +7,7 @@ from msun import Rng, ShapeError, Tensor, grad_check
 from msun.layers import (BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
                          conv2d, global_avg_pool, linear, maxpool2d, resize_images,
                          softmax_cross_entropy)
-from msun.tensor import backward, mul, tsum
+from msun.tensor import backward, mul, record_branches, relu, tsum
 
 import oracles
 
@@ -58,6 +58,38 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
         want = oracles.conv2d_loops(x, w, b, stride, pad)
         assert np.max(np.abs(got - want)) < 1e-5
+
+    # (channels, height, width, out channels, kernel, stride, pad): the desk
+    # protocol's stems at 16, 32 and 64 px, unified.block1 and block2, then
+    # odd geometries (non-square, stride 3, 1x1 kernel)
+    EXACT_SHAPES = [(3, 16, 16, 8, 3, 1, 1), (3, 32, 32, 8, 3, 2, 1), (3, 64, 64, 8, 5, 2, 2),
+                    (8, 16, 16, 8, 3, 1, 1), (8, 16, 16, 16, 3, 2, 1),
+                    (5, 11, 9, 4, 3, 3, 2), (4, 7, 6, 3, 1, 2, 0)]
+
+    @pytest.mark.parametrize("n", [13, 16])     # 13 is not a whole number of blocks
+    @pytest.mark.parametrize("shape", EXACT_SHAPES, ids=str)
+    def test_bit_identical_to_im2col(self, shape, n):
+        c, h, w, m, k, stride, pad = shape
+        rng = Rng(3000 + h + k + n)
+        x, wt, b = randn(rng, (n, c, h, w)), randn(rng, (m, c, k, k), 0.3), randn(rng, (m,))
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
+                     Tensor(b, requires_grad=True), stride, pad)
+        g = randn(rng, out.shape)
+        got = (out.data,) + tuple(out.node.grad_fn(g))
+        for name, a, want in zip(("out", "gx", "gw", "gb"), got,
+                                 oracles.conv2d_im2col(x, wt, b, g, stride, pad)):
+            assert a.dtype == want.dtype and np.array_equal(a, want), name
+
+    def test_float64_input_keeps_float64(self):
+        rng = Rng(33)
+        x = randn(rng, (3, 2, 7, 7)).astype(np.float64)
+        wt, b = randn(rng, (4, 2, 3, 3)), randn(rng, (4,))
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
+                     Tensor(b, requires_grad=True), 2, 1)
+        g = rng.normal(out.shape)
+        got = (out.data,) + tuple(out.node.grad_fn(g))
+        for a, want in zip(got, oracles.conv2d_im2col(x, wt, b, g, 2, 1)):
+            assert a.dtype == want.dtype and np.array_equal(a, want)
 
     def test_kernel_larger_than_padded_input(self):
         x = Tensor(np.zeros((1, 1, 2, 2), np.float32))
@@ -120,6 +152,31 @@ class TestMaxPool:
         x.zero_grad()
         backward(tsum(maxpool2d(x, 2, 2)))
         assert np.array_equal(x.grad[0, 0], np.array([[1, 0], [0, 0]], dtype=np.float32))
+
+    # (shape, window, stride): disjoint, stride > window, stride < window
+    # (up to nine windows share an element), odd sizes
+    EXACT_CASES = [((3, 4, 8, 8), 2, 2), ((2, 3, 9, 7), 2, 3), ((2, 3, 7, 7), 3, 1),
+                   ((2, 2, 9, 9), 3, 2), ((1, 2, 11, 10), 2, 1)]
+
+    @pytest.mark.parametrize("post_relu", [False, True])
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=str)
+    def test_bit_identical_to_loops(self, case, post_relu):
+        shape, window, stride = case
+        rng = Rng(4000 + sum(shape) + window + stride)
+        x = randn(rng, shape)
+        if post_relu:
+            # quantized ReLU output: many all-zero windows and tied maxima
+            x = relu(Tensor(np.round(x * 2) / 2)).data
+        with record_branches() as rec:
+            out = maxpool2d(Tensor(x, requires_grad=True), window, stride)
+        ref, arg = oracles.maxpool2d_argmax(x, window, stride)
+        assert np.array_equal(out.data.view(np.uint32), ref.view(np.uint32))   # signed zeros too
+        assert np.array_equal(out.data, oracles.maxpool2d_loops(x, window, stride))
+        assert rec.fingerprint() == arg.astype(np.uint8).tobytes()
+        g = randn(rng, out.shape)
+        (gx,) = out.node.grad_fn(g)
+        want = oracles.maxpool2d_backward_loops(x, g, window, stride)
+        assert gx.dtype == want.dtype and np.array_equal(gx, want)
 
     def test_overlapping_gradient_sum_preserved(self):
         rng = Rng(13)
@@ -205,6 +262,23 @@ class TestBatchNorm:
         err = grad_check(
             lambda t: weighted(batchnorm2d(x, t, beta, rm.copy(), rv.copy(), True)), gamma)
         assert err < 1e-3
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("shape", [(13, 8, 16, 16), (16, 8, 32, 32), (5, 16, 3, 5)],
+                             ids=str)
+    def test_bit_identical_to_formulas(self, shape, train):
+        rng = Rng(5000 + sum(shape))
+        c = shape[1]
+        x = randn(rng, shape, 2.0, 0.7)
+        gamma, beta = randn(rng, (c,), 0.3, 1.0), randn(rng, (c,), 0.2)
+        rm, rv = randn(rng, (c,), 0.5), (rng.uniform((c,)) + 0.5).astype(np.float32)
+        g = randn(rng, shape)
+        out = batchnorm2d(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                          Tensor(beta, requires_grad=True), rm.copy(), rv.copy(), train)
+        got = (out.data,) + tuple(out.node.grad_fn(g))
+        want = oracles.batchnorm2d_formulas(x, gamma, beta, rm, rv, train, g)
+        for name, a, b in zip(("out", "gx", "dgamma", "dbeta"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_per_set_statistics_are_independent(self):
         layer = BatchNorm2d(2, momentum=1.0, n_stat_sets=2)
