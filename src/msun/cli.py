@@ -1,7 +1,7 @@
 """Command-line surface: train/eval/analysis subcommands with stable exits.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 numeric failure
-(divergence), 4 I/O or file-format failure.
+(divergence), 4 I/O, file-format or out-of-memory failure.
 """
 
 from __future__ import annotations
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

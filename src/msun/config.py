@@ -7,6 +7,7 @@ directory as resolved-config.txt.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, Optional
 
@@ -52,6 +53,27 @@ KNOWN_KEYS = {
     "eval.sizes": (_int_list, (16, 24, 32, 40, 48, 56, 64)),
     "cka.probe_samples": (int, 256),
     "cka.taps": (str, ""),
+}
+
+
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _finite_at_least(low):
+    return (lambda v: math.isfinite(v) and v >= low), f"finite and >= {low}"
+
+
+# key -> (check, what it requires), applied to every loaded value
+RULES = {
+    "data.n_train": _at_least(1),
+    "data.n_test": _at_least(1),
+    "data.noise": _finite_at_least(0.0),
+    "train.base_lr": (math.isfinite, "finite"),
+    "train.batch_size": _at_least(1),
+    "train.warmup_epochs": _at_least(0),
+    "train.lr_floor_fraction": _finite_at_least(0.0),
+    "msun.lambda": _finite_at_least(0.0),
 }
 
 
@@ -142,4 +164,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[Dict[str, str]] 
             values[key] = parser(text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
+    for key, (check, what) in RULES.items():
+        if not check(values[key]):
+            raise ConfigError(f"bad value for {key}: {values[key]!r} (must be {what})")
     return Config(values)

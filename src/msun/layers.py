@@ -6,8 +6,12 @@ loss reductions. The window kernels work a few samples or one strided view
 at a time so that each pass over memory is a long contiguous run that stays
 in cache: conv im2col and GEMM are blocked by samples, the conv input
 gradient is summed in stride-phase planes, max-pool is a running maximum
-with per-offset first-max masks, and batch norm works in place. None of
-this changes a float operation or its order. Backward rules skip operands
+with per-offset first-max masks, and batch norm works in place. A
+forward-only pass (``no_grad``, or no input requiring grad) keeps no
+buffer that only a backward reads: conv refills one block of columns for
+every block instead of keeping them all, and batch norm applies its affine
+in place over the normalized input. None of this changes a float
+operation or its order. Backward rules skip operands
 that do not require grad: a stem convolution over raw images computes no
 image gradient, and a linear map over constant features none for its input.
 Parameter-owning layers draw their initial weights from the shared
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import tensor as _tape
 from .rng import Rng
-from .tensor import DTYPE, ShapeError, Tensor, from_op, _note_branch
+from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
@@ -81,8 +85,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     """Cross-correlation with zero padding; bias added per output channel.
 
     The im2col columns are filled ``_BLOCK`` samples at a time and each
-    block's per-sample GEMMs run while it is still in cache; the whole
-    column buffer is kept for the weight gradient.
+    block's per-sample GEMMs run while it is still in cache. When a tape
+    node is recorded the whole column buffer is kept for the weight
+    gradient; a forward-only pass refills one block's worth.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
@@ -96,26 +101,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xd = x.data
     w2 = weight.data.reshape(m, cin * k * k)
-    cols6 = np.empty((n, cin, k, k, ho, wo), dtype=xd.dtype)
-    cols = cols6.reshape(n, cin * k * k, ho * wo)
+    taped = records((x, weight, bias))
+    cols6 = np.empty((n if taped else min(n, _BLOCK), cin, k, k, ho, wo), dtype=xd.dtype)
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
     xp = np.zeros((min(n, _BLOCK), cin, hp, wp), dtype=xd.dtype) if pad else None
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
+        blk = cols6[a:b] if taped else cols6[:b - a]
         src = xd[a:b]
         if pad:
             src = xp[:b - a]
             src[:, :, pad:pad + h, pad:pad + w] = xd[a:b]
         for di in range(k):
             for dj in range(k):
-                cols6[a:b, :, di, dj] = src[:, :, di:di + ho * stride:stride,
-                                            dj:dj + wo * stride:stride]
-        np.matmul(w2, cols[a:b], out=out[a:b])
+                blk[:, :, di, dj] = src[:, :, di:di + ho * stride:stride,
+                                        dj:dj + wo * stride:stride]
+        np.matmul(w2, blk.reshape(b - a, cin * k * k, ho * wo), out=out[a:b])
         out[a:b] += bias.data[None, :, None]
     x_shape = x.shape
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
+        cols = cols6.reshape(n, cin * k * k, ho * wo)
         gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(bias.data.dtype)
         if not x.requires_grad:                   # raw images: no input gradient
@@ -235,7 +242,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     inv = (1.0 / np.sqrt(var + eps)).astype(dt)[None, :, None, None]
     xhat = xc
     xhat *= inv
-    out = gamma.data[None, :, None, None] * xhat
+    scale = gamma.data[None, :, None, None]
+    # xhat is this call's own array; with no backward to read it, scale it in place
+    in_place = not records((x, gamma, beta)) and np.result_type(scale, xhat) == dt
+    out = np.multiply(scale, xhat, out=xhat if in_place else None)
     shift = beta.data[None, :, None, None]
     out = np.add(out, shift, out=out if np.result_type(out, shift) == out.dtype else None)
     m = n * h * w

@@ -134,9 +134,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def retain_grad(self) -> "Tensor":
         """Ask backward to keep this non-leaf tensor's gradient in .grad."""
         self.retains_grad = True
@@ -182,15 +179,22 @@ class Tensor:
         backward(self)
 
 
+def records(inputs) -> bool:
+    """Whether an op over ``inputs`` records a tape node: gradients are on
+    and some input requires grad. Buffers that only a backward reads (conv
+    columns, the normalized batch-norm input) are kept only when it holds."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def from_op(data: np.ndarray, op: str, inputs: tuple, grad_fn: Callable) -> Tensor:
-    """Wrap an op result, recording a tape node when gradients are live."""
+    """Wrap an op result, recording a tape node when ``records(inputs)``."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.node = None
     out.requires_grad = False
     out.retains_grad = False
-    if _grad_enabled and any(t.requires_grad for t in inputs):
+    if records(inputs):
         out.requires_grad = True
         out.node = TapeNode(op, inputs, grad_fn)
     return out

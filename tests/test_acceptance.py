@@ -267,6 +267,7 @@ def _median(values):
     return float(np.median(np.asarray(values)))
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_trends(trend_protocol):
     runs = trend_protocol["runs"]
     gap16 = _median([runs[s]["msun"]["report"].rows[0].accuracy
@@ -287,6 +288,7 @@ def test_criterion_6_desk_scale_trends(trend_protocol):
           f"elapsed={elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_trend_vanilla_learnability_and_size_gap(trend_protocol):
     """The mini backbone masters the shapes at native size but degrades on
     upsampled small inputs, and multi-scale training flips both directions."""
@@ -301,6 +303,7 @@ def test_trend_vanilla_learnability_and_size_gap(trend_protocol):
     assert mst64 < van64, "and pay for it at the large end"
 
 
+@pytest.mark.slow
 def test_trend_si_term_decreases(trend_protocol):
     """Median invariance penalty falls from the first to the last epoch."""
     runs = trend_protocol["runs"]
@@ -311,6 +314,7 @@ def test_trend_si_term_decreases(trend_protocol):
     assert _median(drops) > 0.0, f"per-seed drops {np.round(drops, 4)}"
 
 
+@pytest.mark.slow
 def test_trend_linear_probe_direction(trend_protocol):
     """Probing frozen features on a small-size target favors the multi-branch
     model over the fixed-size baseline."""
@@ -325,6 +329,7 @@ def test_trend_linear_probe_direction(trend_protocol):
     assert _median(diffs) >= 0.0, f"per-seed probe gaps {np.round(diffs, 4)}"
 
 
+@pytest.mark.slow
 def test_criterion_7_final_tap_similarity(trend_protocol):
     runs = trend_protocol["runs"]
     diffs = []

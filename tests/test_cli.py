@@ -10,6 +10,7 @@ import pytest
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
+from msun import cli
 from msun.cli import main
 from msun.data import load_idx
 
@@ -94,6 +95,35 @@ train.batch_size = 64
         resolved = open(os.path.join(trained, "resolved-config.txt")).read()
         assert "msun.lambda=0.1" in resolved
         assert time.perf_counter() - t0 < 60
+
+
+class TestHostileConfigs:
+    """One hostile value in ``tiny.cfg`` exits 2 with the key's name."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.batch_size", "0"), ("train.batch_size", "-3"),
+        ("train.warmup_epochs", "-1"), ("train.lr_floor_fraction", "-1"),
+        ("data.noise", "-1"),
+        ("train.base_lr", "nan"), ("data.noise", "nan"), ("msun.lambda", "inf"),
+        ("data.n_train", "0"), ("data.n_test", "0"),
+    ])
+    def test_exits_2_naming_the_key(self, key, value, capsys, tmp_path):
+        lines = [line for line in open(TINY_CFG).read().splitlines()
+                 if line.split("=")[0].strip() != key]
+        cfg = tmp_path / "hostile.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        code = main(["train", "--method", "msun", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_memory_error_exits_4(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "cmd_flops", exhausted)
+        assert main(["flops", "--checkpoint", "any.msun", "--size", "16"]) == 4
+        assert "out of memory" in capsys.readouterr().err
 
 
 class TestEval:

@@ -1,5 +1,7 @@
 """Layer forward oracles and backward checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from msun import Rng, ShapeError, Tensor, grad_check
 from msun.layers import (BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
                          conv2d, global_avg_pool, linear, maxpool2d, resize_images,
                          softmax_cross_entropy)
-from msun.tensor import backward, mul, record_branches, relu, tsum
+from msun.tensor import backward, mul, no_grad, record_branches, relu, tsum
 
 import oracles
 
@@ -90,6 +92,43 @@ class TestConv2d:
         got = (out.data,) + tuple(out.node.grad_fn(g))
         for a, want in zip(got, oracles.conv2d_im2col(x, wt, b, g, 2, 1)):
             assert a.dtype == want.dtype and np.array_equal(a, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", EXACT_SHAPES, ids=str)
+    def test_forward_only_equals_taped(self, shape, dtype):
+        c, h, w, m, k, stride, pad = shape
+        n = 13                                  # not a whole number of blocks
+        rng = Rng(3100 + h + k)
+        x = randn(rng, (n, c, h, w)).astype(dtype)
+        wt, b = randn(rng, (m, c, k, k), 0.3), randn(rng, (m,))
+        params = (Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True))
+        taped = conv2d(Tensor(x), *params, stride, pad)
+        assert taped.node is not None
+        with no_grad():
+            free = conv2d(Tensor(x), *params, stride, pad)
+        const = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride, pad)
+        for out in (free, const):
+            assert out.node is None
+            assert out.data.dtype == taped.data.dtype
+            assert np.array_equal(out.data, taped.data)
+
+    def test_forward_only_keeps_one_block_of_columns(self):
+        # the 64 px stem at an eval batch of 256: its full im2col buffer is 78.6 MB
+        n, c, size, m, k, stride, pad = 256, 3, 64, 8, 5, 2, 2
+        rng = Rng(35)
+        x = Tensor(rng.uniform((n, c, size, size)).astype(np.float32))
+        wt, b = Tensor(randn(rng, (m, c, k, k), 0.3)), Tensor(randn(rng, (m,)))
+        ho = (size + 2 * pad - k) // stride + 1
+        full_cols = n * c * k * k * ho * ho * 4
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = conv2d(x, wt, b, stride, pad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, m, ho, ho)
+        assert peak < full_cols / 4, f"peak {peak} bytes vs columns {full_cols}"
 
     def test_kernel_larger_than_padded_input(self):
         x = Tensor(np.zeros((1, 1, 2, 2), np.float32))
@@ -280,6 +319,27 @@ class TestBatchNorm:
         for name, a, b in zip(("out", "gx", "dgamma", "dbeta"), got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_forward_only_equals_taped(self, train, dtype):
+        rng = Rng(5100)
+        x = randn(rng, (13, 8, 6, 5), 2.0, 0.7).astype(dtype)
+        keep = x.copy()
+        gamma = Tensor(randn(rng, (8,), 0.3, 1.0), requires_grad=True)
+        beta = Tensor(randn(rng, (8,), 0.2), requires_grad=True)
+        rm, rv = randn(rng, (8,), 0.5), (rng.uniform((8,)) + 0.5).astype(np.float32)
+        taped_stats, free_stats = (rm.copy(), rv.copy()), (rm.copy(), rv.copy())
+        taped = batchnorm2d(Tensor(x), gamma, beta, *taped_stats, train)
+        assert taped.node is not None
+        with no_grad():
+            free = batchnorm2d(Tensor(x), gamma, beta, *free_stats, train)
+        assert free.node is None
+        assert free.data.dtype == taped.data.dtype
+        assert np.array_equal(free.data, taped.data)
+        assert np.array_equal(x, keep), "the input array was written"
+        for a, b in zip(free_stats, taped_stats):
+            assert np.array_equal(a, b)
+
     def test_per_set_statistics_are_independent(self):
         layer = BatchNorm2d(2, momentum=1.0, n_stat_sets=2)
         rng = Rng(10)
@@ -415,6 +475,18 @@ class TestBilinearResize:
         for size in (4, 9, 16):
             out = resize_images(x, size, size)
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+    def test_resize_images_leaves_its_input_alone(self):
+        rng = Rng(18)
+        # values outside [0,1], so the clip has values to change
+        x = (rng.uniform((3, 3, 9, 9)) * 3.0 - 1.0).astype(np.float32)
+        keep = x.copy()
+        for size in (4, 16):
+            out = resize_images(x, size, size)
+            assert not np.shares_memory(out, x)
+            assert out.min() >= 0.0 and out.max() <= 1.0
+            assert np.array_equal(x, keep)
 
 
 class TestLayerClasses:
