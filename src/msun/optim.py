@@ -27,10 +27,19 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:
             raise ValueError("weight decay must be >= 0")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not math.isfinite(self.base_lr):
+            raise ValueError(f"base learning rate must be finite, got {self.base_lr}")
+        if not (math.isfinite(self.lr_floor_fraction) and self.lr_floor_fraction >= 0.0):
+            raise ValueError("learning-rate floor fraction must be finite and >= 0, "
+                             f"got {self.lr_floor_fraction}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup epochs must be >= 0, got {self.warmup_epochs}")
         if self.warmup_epochs > self.epochs:
             raise ValueError(f"warmup ({self.warmup_epochs} epochs) exceeds "
                              f"training length ({self.epochs} epochs)")

@@ -33,10 +33,6 @@ class Rng:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
-    def fork(self, tag: int) -> "Rng":
-        """Independent child stream; deterministic in (current state, tag)."""
-        return Rng(_mix(self._state ^ _mix(int(tag) & _MASK)))
-
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK
         return _mix(self._state)

@@ -2,11 +2,18 @@
 
 import hashlib
 import os
+import platform
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msun import BackboneSpec, Rng, ScaleSet, TrainConfig, gen_shapes
+from msun import experiments
 from msun.experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
                               ablation_scales, eval_multiscale, linear_probe,
                               evaluate_accuracy, run_experiment)
@@ -58,10 +65,10 @@ class TestTrainVanilla:
     def test_timing_side_file(self, vanilla_result):
         path = os.path.join(os.path.dirname(vanilla_result.checkpoint_path), "timing.csv")
         lines = open(path).read().splitlines()
-        assert lines[0] == "epoch,seconds,samples_per_s"
+        assert lines[0] == "epoch,seconds,samples_per_s,minor_faults"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == list(range(CFG.epochs))
-        assert all(float(r[1]) > 0 and float(r[2]) > 0 for r in rows)
+        assert all(float(r[1]) > 0 and float(r[2]) > 0 and int(r[3]) >= 0 for r in rows)
 
 
 class TestRunExperiment:
@@ -101,6 +108,60 @@ class TestTrainMsun:
     def test_msun_requires_two_scales(self):
         with pytest.raises(ValueError):
             ExperimentSpec("msun", SPEC, CFG, ScaleSet([32]))
+
+
+# Desk-shape msun steps in a fresh interpreter: 3 warm-up steps, then the
+# measured ones; prints the minor page faults of each measured step.
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    from msun import SGD, BackboneSpec, MsunModel, Rng, ScaleSet, Tensor
+    from msun import gen_shapes, make_multiscale
+    from msun.model import _step_with_logits
+
+    scales = [16, 32, 64]
+    model = MsunModel(BackboneSpec((8, 16), (1, 1), "plain", 6, 64),
+                      ScaleSet(scales), 1, Rng(0))
+    opt = SGD(model.parameters(), 0.9, 2e-5)
+    batches = list(make_multiscale(gen_shapes(1, 512, 6, 64), scales, 128, 3))
+    for i in range(8):
+        batch = batches[i % len(batches)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _step_with_logits(model, [Tensor(v) for v in batch.images], batch.labels,
+                          opt, 0.1, 0.05)
+        if i >= 3:
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+class TestStepMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator policy is set on glibc only")
+    def test_training_steps_take_no_fresh_pages(self):
+        # Without the policy glibc maps each step's large arrays fresh and
+        # returns them when freed: about 5,000 faults per step.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        faults = [int(v) for v in out.stdout.split()]
+        assert len(faults) == 5
+        assert sum(faults) / len(faults) < 500, faults
+
+    def test_previous_tape_is_freed_before_next_step(self, data, monkeypatch):
+        step = experiments._step_with_logits
+        refs, alive = [], []
+
+        def watched(*args, **kwargs):
+            alive.append(any(ref() is not None for ref in refs))
+            breakdown, logits = step(*args, **kwargs)
+            refs.append(weakref.ref(logits[-1].data))
+            return breakdown, logits
+
+        monkeypatch.setattr(experiments, "_step_with_logits", watched)
+        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=64, seed=0)
+        run_experiment(ExperimentSpec("msun", SPEC, cfg, SCALES), *data)
+        assert alive == [False] * 4
 
 
 class TestEvalMultiscale:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from msun import NonFiniteError, Tensor, TrainConfig, lr_at
+from msun import BackboneSpec, NonFiniteError, ScaleSet, Tensor, TrainConfig, gen_shapes, lr_at
+from msun.experiments import ExperimentSpec, run_experiment
 from msun.optim import SGD
 
 
@@ -34,6 +35,25 @@ class TestTrainConfig:
             TrainConfig(warmup_epochs=30, epochs=10)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0, warmup_epochs=0)
+        for bad in ({"warmup_epochs": -1}, {"lr_floor_fraction": -1.0},
+                    {"lr_floor_fraction": math.nan}, {"lam": math.inf},
+                    {"lam": math.nan}, {"base_lr": math.inf}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+
+    # Each of these once reached run_experiment: batch_size=0 raised
+    # ZeroDivisionError, batch_size=-3 trained zero steps, and base_lr=nan
+    # returned NaN parameters with a test accuracy of 0.25.
+    @pytest.mark.parametrize("bad", [{"batch_size": 0}, {"batch_size": -3},
+                                     {"base_lr": math.nan}],
+                             ids=["batch_size=0", "batch_size=-3", "base_lr=nan"])
+    def test_run_experiment_rejects(self, bad):
+        data = gen_shapes(0, 16, 4, 16), gen_shapes(1, 8, 4, 16)
+        with pytest.raises(ValueError):
+            cfg = TrainConfig(epochs=1, warmup_epochs=0, **bad)
+            spec = ExperimentSpec("vanilla", BackboneSpec((4, 8), (1, 1), "plain", 4, 16),
+                                  cfg, ScaleSet([8, 16]))
+            run_experiment(spec, *data)
 
 
 class TestSgdStep:

@@ -266,7 +266,3 @@ class TestRng:
         z = r.normal((20000,))
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.03
-
-    def test_fork_diverges(self):
-        r = Rng(5)
-        assert r.fork(1).next_u64() != r.fork(2).next_u64()
