@@ -8,6 +8,7 @@ a seed pins the dataset bit-for-bit.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import struct
@@ -104,6 +105,10 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
         raise ValueError("need at least one class")
     if size < 16:
         raise ValueError(f"native size must be >= 16, got {size}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     rng = Rng(seed)
     params = rng.uniform((n_samples, 5))
     noise_field = rng.normal((n_samples, size, size), std=noise) if noise else None

@@ -25,8 +25,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight decay must be >= 0")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if not math.isfinite(self.base_lr):

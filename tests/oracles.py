@@ -249,3 +249,26 @@ def batchnorm2d_formulas(x, gamma, beta, running_mean, running_var, train, g,
     s2 = (dxhat * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
     gx = (inv / m) * (m * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
     return out, gx, dgamma, dbeta
+
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix_bulk_u64(state, n):
+    """Outputs 1..n of the SplitMix64 stream at ``state``, as one whole array."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA) + np.uint64(state)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)), (state + n * _SPLITMIX_GAMMA) % (1 << 64)
+
+
+def box_muller_whole_array(state, shape, mean, std):
+    """Box-Muller normals from two whole-array draws; returns (values, next state)."""
+    n = int(np.prod(shape))
+    inv53 = 1.0 / (1 << 53)
+    d1, state = splitmix_bulk_u64(state, n)
+    d2, state = splitmix_bulk_u64(state, n)
+    u1 = ((d1 >> np.uint64(11)).astype(np.float64) + 1.0) * inv53
+    u2 = (d2 >> np.uint64(11)).astype(np.float64) * inv53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return (mean + std * z).reshape(shape), state

@@ -10,7 +10,7 @@ import pytest
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
-from msun import cli
+from msun import cli, config
 from msun.cli import main
 from msun.data import load_idx
 
@@ -97,6 +97,29 @@ train.batch_size = 64
         assert time.perf_counter() - t0 < 60
 
 
+def _tiny_lines():
+    with open(TINY_CFG) as fh:
+        return fh.read().splitlines()
+
+
+def _tiny_with(tmp_path, values):
+    """``tiny.cfg`` with ``values`` replacing (or adding) keys."""
+    lines = [line for line in _tiny_lines() if line.split("=")[0].strip() not in values]
+    cfg = tmp_path / "hostile.cfg"
+    cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+    return str(cfg)
+
+
+def _fuzz_cases():
+    """Every key of tiny.cfg, plus the ``train.*`` float keys it leaves at their defaults."""
+    keys = [line.split("=")[0].strip() for line in _tiny_lines() if "=" in line.split("#")[0]]
+    keys += [key for key, (parser, _) in config.KNOWN_KEYS.items()
+             if key.startswith("train.") and parser is float and key not in keys]
+    return [(key, value) for key in keys
+            for value in ["0", "-1", "nan", "inf", "", "abc"]
+            + (["1e6"] if config.KNOWN_KEYS[key][0] is float else [])]
+
+
 class TestHostileConfigs:
     """One hostile value in ``tiny.cfg`` exits 2 with the key's name."""
 
@@ -108,14 +131,21 @@ class TestHostileConfigs:
         ("data.n_train", "0"), ("data.n_test", "0"),
     ])
     def test_exits_2_naming_the_key(self, key, value, capsys, tmp_path):
-        lines = [line for line in open(TINY_CFG).read().splitlines()
-                 if line.split("=")[0].strip() != key]
-        cfg = tmp_path / "hostile.cfg"
-        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
-        code = main(["train", "--method", "msun", "--config", str(cfg),
+        cfg = _tiny_with(tmp_path, {key: value})
+        code = main(["train", "--method", "msun", "--config", cfg,
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("key,value", _fuzz_cases())
+    def test_fuzzed_key_keeps_exit_contract(self, key, value, tmp_path):
+        # every key of tiny.cfg, one epoch unless the epoch keys are the ones fuzzed;
+        # no size is large enough to really allocate memory
+        values = {"train.epochs": "1", "train.warmup_epochs": "0", key: value}
+        code = main(["train", "--method", "vanilla", "--config", _tiny_with(tmp_path, values),
+                     "--out", str(tmp_path / "o")])
+        assert code in (0, 2, 4)
 
     def test_memory_error_exits_4(self, monkeypatch, capsys):
         def exhausted(args):
@@ -244,6 +274,13 @@ class TestGenData:
             assert code == 0
         assert (tmp_path / "a-images.idx").read_bytes() == (tmp_path / "b-images.idx").read_bytes()
         assert (tmp_path / "a-labels.idx").read_bytes() == (tmp_path / "b-labels.idx").read_bytes()
+
+    def test_nan_noise_exits_2(self, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "d"), "--samples", "5",
+                     "--noise", "nan"])
+        assert code == 2
+        assert "noise" in capsys.readouterr().err
+        assert not (tmp_path / "d-images.idx").exists()
 
     def test_reloads_losslessly(self, tmp_path):
         main(["gen-data", "--out", str(tmp_path / "d"), "--seed", "1",

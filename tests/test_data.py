@@ -1,5 +1,6 @@
 """Shape generator, IDX round-trips, and multi-scale batch assembly."""
 
+import hashlib
 import threading
 
 import numpy as np
@@ -44,6 +45,24 @@ class TestGenShapes:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             gen_shapes(0, 10, 4, 8)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            gen_shapes(0, n_samples, 4, 32)
+
+    @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+    def test_rejects_noise(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            gen_shapes(0, 10, 4, 32, noise=noise)
+
+    def test_pinned_digest(self):
+        # 37 * 40 * 40 noise draws end inside a block of the blocked normal draw
+        ds = gen_shapes(11, 37, 6, 40)
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == (
+            "3fcec40c74c30796d59081864bb6666c6137b302e114845d8cebdb1a5b7ccba5")
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == (
+            "e2e6e1f316ac85dc8101d032aaac53d7020ba42dcc4eac83a8381e0dab0cb923")
 
     def test_shapes_have_content(self):
         ds = gen_shapes(7, 16, 8, 32, noise=0.0)

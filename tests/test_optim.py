@@ -37,7 +37,8 @@ class TestTrainConfig:
             TrainConfig(epochs=0, warmup_epochs=0)
         for bad in ({"warmup_epochs": -1}, {"lr_floor_fraction": -1.0},
                     {"lr_floor_fraction": math.nan}, {"lam": math.inf},
-                    {"lam": math.nan}, {"base_lr": math.inf}):
+                    {"lam": math.nan}, {"base_lr": math.inf},
+                    {"weight_decay": math.nan}, {"weight_decay": math.inf}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 

@@ -1,13 +1,16 @@
 """Tensor/autograd engine tests: primitives, tape mechanics, grad_check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from msun import Rng, ShapeError, Tensor, backward, grad_check
+from msun.rng import _CHUNK
 from msun.tensor import (add, matmul, maximum_scalar, mul, neg, relu, scale, sub,
                          tmean, tsum)
 
-from oracles import matmul_loops
+from oracles import box_muller_whole_array, matmul_loops
 
 
 def arr(*values):
@@ -266,3 +269,23 @@ class TestRng:
         z = r.normal((20000,))
         assert abs(z.mean()) < 0.03
         assert abs(z.std() - 1.0) < 0.03
+
+    @pytest.mark.parametrize("shape", [(1,), (_CHUNK - 1,), (_CHUNK,), (_CHUNK + 1,),
+                                       (3 * _CHUNK + 7,), (5, 3, 7)])
+    def test_blocked_normal_matches_whole_array(self, shape):
+        r = Rng(0xC0FFEE)
+        want, state = box_muller_whole_array(0xC0FFEE, shape, 0.25, 0.05)
+        got = r.normal(shape, mean=0.25, std=0.05)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert r.next_u64() == Rng(state).next_u64()
+
+    def test_normal_peak_memory(self):
+        # blocks keep every temporary small: the peak is the output plus a few blocks
+        tracemalloc.start()
+        try:
+            out = Rng(7).normal((1536, 64, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * out.nbytes
