@@ -22,10 +22,12 @@ from .layers import resize_images
 from .tensor import NonFiniteError
 
 
-def _datasets(cfg: Config, *splits: str):
+def _datasets(cfg: Config, *splits: str, rows=None):
     """The config's dataset for each named split ("train" or "test"), in order.
 
-    Only the named splits are loaded or rendered.
+    Only the named splits are loaded or rendered. ``rows``, when given, maps a
+    split's size to the range [start, stop) of samples a command reads: a
+    rendered split then draws only those samples, and a loaded one is sliced.
     """
     kind = cfg["data.kind"]
     if kind == "idx":
@@ -35,12 +37,19 @@ def _datasets(cfg: Config, *splits: str):
                 raise ConfigError(f"data.kind=idx requires {key}")
             if not os.path.exists(cfg[key]):
                 raise ConfigError(f"{key} file not found: {cfg[key]}")
-        return tuple(load_idx(cfg[images], cfg[labels]) for images, labels in keys)
+        loaded = (load_idx(cfg[images], cfg[labels]) for images, labels in keys)
+        return tuple(ds if rows is None else ds.subset(slice(*rows(len(ds))))
+                     for ds in loaded)
     if kind != "shapes":
         raise ConfigError(f"unknown data.kind {kind!r}")
     seeds = {"train": cfg["train.seed"], "test": cfg["train.seed"] ^ 0x7E57DA7A}
-    return tuple(gen_shapes(seeds[s], cfg[f"data.n_{s}"], cfg["data.classes"],
-                            cfg["data.native"], cfg["data.noise"]) for s in splits)
+    rendered = []
+    for s in splits:
+        n = cfg[f"data.n_{s}"]
+        start, stop = (0, n) if rows is None else rows(n)
+        rendered.append(gen_shapes(seeds[s], n, cfg["data.classes"], cfg["data.native"],
+                                   cfg["data.noise"], start=start, stop=stop))
+    return tuple(rendered)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -96,14 +105,13 @@ def cmd_cka(args) -> int:
     cfg = _load_cfg(args)
     scale_a, scale_b = (int(s) for s in args.scales.split(","))
     model = ckpt.load_model(args.checkpoint)
-    (test,) = _datasets(cfg, "test")
-    probe = test.images[:cfg["cka.probe_samples"]]
+    (probe,) = _datasets(cfg, "test", rows=lambda n: (0, min(cfg["cka.probe_samples"], n)))
     taps = None
     taps_text = args.taps if args.taps is not None else cfg["cka.taps"]
     if taps_text:
         taps = [t.strip() for t in taps_text.split(",")]
     try:
-        report = layerwise_cka(model, probe, scale_a, scale_b, taps)
+        report = layerwise_cka(model, probe.images, scale_a, scale_b, taps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(report.to_csv(), args.out)
@@ -121,12 +129,15 @@ def cmd_gradcam(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
     model = ckpt.load_model(args.checkpoint)
-    (test,) = _datasets(cfg, "test")
-    if not 0 <= args.index < len(test):
-        raise ConfigError(f"--index {args.index} outside the test set (n={len(test)})")
-    image = test.images[args.index:args.index + 1]
-    size = args.size or test.native_size
-    image = resize_images(image, size, size)
+
+    def one_sample(n):
+        if not 0 <= args.index < n:
+            raise ConfigError(f"--index {args.index} outside the test set (n={n})")
+        return args.index, args.index + 1
+
+    (sample,) = _datasets(cfg, "test", rows=one_sample)
+    size = args.size or sample.native_size
+    image = resize_images(sample.images, size, size)
     try:
         cam = grad_cam(model, image, args.cls, native_size=size)
     except ValueError as exc:

@@ -69,13 +69,14 @@ RULES = {
     "data.n_train": _at_least(1),
     "data.n_test": _at_least(1),
     "data.noise": _finite_at_least(0.0),
-    "train.base_lr": (math.isfinite, "finite"),
+    "train.base_lr": ((lambda v: math.isfinite(v) and v > 0.0), "finite and > 0"),
     "train.momentum": ((lambda v: 0.0 <= v < 1.0), "finite and in [0, 1)"),
     "train.weight_decay": _finite_at_least(0.0),
     "train.batch_size": _at_least(1),
     "train.warmup_epochs": _at_least(0),
     "train.lr_floor_fraction": _finite_at_least(0.0),
     "msun.lambda": _finite_at_least(0.0),
+    "cka.probe_samples": _at_least(1),
 }
 
 

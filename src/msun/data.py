@@ -3,7 +3,8 @@
 The generator draws parametric grayscale shapes analytically at the requested
 native resolution, so a 16-pixel dataset is genuinely low-information rather
 than a downsampled copy. All randomness comes from the SplitMix64 stream, so
-a seed pins the dataset bit-for-bit.
+a seed pins the dataset bit-for-bit, and any range of samples can be
+rendered on its own, equal to the same range of the whole set.
 """
 
 from __future__ import annotations
@@ -97,8 +98,15 @@ def _shape_field(kind: str, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
-               noise: float = 0.05) -> Dataset:
-    """Balanced procedural shape dataset, rendered natively at ``size``."""
+               noise: float = 0.05, start: int = 0, stop: int = None) -> Dataset:
+    """Balanced procedural shape dataset, rendered natively at ``size``.
+
+    ``start``/``stop`` render only samples [start, stop) of the
+    ``n_samples``-sample set (all of them by default), bit for bit equal to
+    the whole set sliced the same way. Only that range is drawn: parameter
+    draws 5*start .. 5*stop, and the matching rows of the noise field, which
+    follows all 5*n_samples parameter draws in the stream.
+    """
     if n_classes > len(CLASS_NAMES):
         raise ValueError(f"at most {len(CLASS_NAMES)} classes, got {n_classes}")
     if n_classes < 1:
@@ -109,16 +117,21 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    stop = n_samples if stop is None else stop
+    if not 0 <= start < stop <= n_samples:
+        raise ValueError(f"samples [start={start}, stop={stop}) not a non-empty "
+                         f"range of n_samples={n_samples}")
     rng = Rng(seed)
-    params = rng.uniform((n_samples, 5))
-    noise_field = rng.normal((n_samples, size, size), std=noise) if noise else None
+    params = rng.uniform((n_samples, 5), start=start, stop=stop)
+    noise_field = (rng.normal((n_samples, size, size), std=noise, start=start, stop=stop)
+                   if noise else None)
 
     coords = (np.arange(size, dtype=np.float64) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
 
-    images = np.empty((n_samples, 3, size, size), dtype=np.float32)
-    labels = np.arange(n_samples, dtype=np.int64) % n_classes
-    for idx in range(n_samples):
+    images = np.empty((stop - start, 3, size, size), dtype=np.float32)
+    labels = np.arange(start, stop, dtype=np.int64) % n_classes
+    for idx in range(stop - start):
         cx = 0.35 + 0.30 * params[idx, 0]
         cy = 0.35 + 0.30 * params[idx, 1]
         radius = 0.18 + 0.20 * params[idx, 2]

@@ -29,8 +29,8 @@ class TrainConfig:
             raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not math.isfinite(self.base_lr):
-            raise ValueError(f"base learning rate must be finite, got {self.base_lr}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
+            raise ValueError(f"base learning rate must be finite and > 0, got {self.base_lr}")
         if not (math.isfinite(self.lr_floor_fraction) and self.lr_floor_fraction >= 0.0):
             raise ValueError("learning-rate floor fraction must be finite and >= 0, "
                              f"got {self.lr_floor_fraction}")

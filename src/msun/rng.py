@@ -8,7 +8,10 @@ depends only on ``seed + k * GOLDEN``, bulk draws are vectorized with numpy
 uint64 arithmetic and agree bit-for-bit with the scalar path. The same fact
 lets any block of the stream be computed on its own: bulk normals are drawn
 2**14 outputs at a time, so every temporary stays in cache, and they equal the
-whole-array draws bit for bit.
+whole-array draws bit for bit. It also lets a bulk draw return only rows
+[start, stop) of its first axis: those rows equal the whole draw sliced the
+same way, the rest is never computed, and the stream still advances past the
+whole draw.
 """
 
 from __future__ import annotations
@@ -44,46 +47,67 @@ class Rng:
         return _mix(self._state)
 
     @staticmethod
-    def _draws(start: int, a: int, b: int) -> np.ndarray:
-        """Outputs a+1 .. b of the stream whose state is ``start``."""
-        z = np.arange(a + 1, b + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(start)
+    def _draws(state: int, a: int, b: int) -> np.ndarray:
+        """Outputs a+1 .. b of the stream whose state is ``state``."""
+        z = np.arange(a + 1, b + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(state)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         return z ^ (z >> np.uint64(31))
 
     def _bulk_u64(self, n: int) -> np.ndarray:
-        start = self._state
-        self._state = (start + n * _GOLDEN) & _MASK
-        return self._draws(start, 0, n)
+        state = self._state
+        self._state = (state + n * _GOLDEN) & _MASK
+        return self._draws(state, 0, n)
 
-    def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
-        """Floats in [low, high); scalar when shape is None."""
+    def _claim(self, shape, per_output: int, start: int, stop):
+        """Advance past a whole draw of ``shape``, ``per_output`` draws per output.
+
+        Returns the state before the draw, its output count n, the flat
+        output range [a, b) of rows [start, stop) of the first axis (all rows
+        when ``stop`` is None) and that range's shape.
+        """
+        shape = tuple(int(d) for d in np.atleast_1d(shape))
+        stop = shape[0] if stop is None else stop
+        if not 0 <= start <= stop <= shape[0]:
+            raise ValueError(f"rows [{start}, {stop}) outside a draw of {shape[0]}")
+        n = int(np.prod(shape))
+        state = self._state
+        self._state = (state + per_output * n * _GOLDEN) & _MASK
+        row = n // shape[0] if shape[0] else 0
+        return state, n, start * row, stop * row, (stop - start,) + shape[1:]
+
+    def uniform(self, shape=None, low: float = 0.0, high: float = 1.0,
+                start: int = 0, stop: int = None):
+        """Floats in [low, high); scalar when shape is None.
+
+        ``start``/``stop`` return rows [start, stop) of the first axis only.
+        """
         if shape is None:
             u = (self.next_u64() >> 11) * _INV53
             return low + (high - low) * u
-        n = int(np.prod(shape))
-        u = (self._bulk_u64(n) >> np.uint64(11)).astype(np.float64) * _INV53
-        return (low + (high - low) * u).reshape(shape)
+        state, _, a, b, out_shape = self._claim(shape, 1, start, stop)
+        u = (self._draws(state, a, b) >> np.uint64(11)).astype(np.float64) * _INV53
+        return (low + (high - low) * u).reshape(out_shape)
 
-    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0,
+               start: int = 0, stop: int = None) -> np.ndarray:
         """Gaussian draws via Box-Muller (two uniforms per output, no rejection).
 
-        Output i pairs draw i of the stream with draw n + i. The output is
-        filled ``_CHUNK`` entries at a time, each block computing its own
-        slice of both draw ranges, which gives the same bits as drawing
-        both ranges whole.
+        Output i of an n-output draw pairs draw i of the stream with draw
+        n + i. The requested outputs (rows [start, stop) of the first axis;
+        all of them by default) are filled ``_CHUNK`` entries at a time, each
+        block computing its own slice of both draw ranges, which gives the
+        same bits as drawing both ranges whole.
         """
-        n = int(np.prod(shape))
-        start = self._state
-        self._state = (start + 2 * n * _GOLDEN) & _MASK
-        out = np.empty(n, dtype=np.float64)
-        for a in range(0, n, _CHUNK):
-            b = min(a + _CHUNK, n)
+        state, n, a, b, out_shape = self._claim(shape, 2, start, stop)
+        out = np.empty(b - a, dtype=np.float64)
+        for i in range(a, b, _CHUNK):
+            j = min(i + _CHUNK, b)
             # shift into (0, 1] so the log is finite
-            u1 = ((self._draws(start, a, b) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-            u2 = (self._draws(start, n + a, n + b) >> np.uint64(11)).astype(np.float64) * _INV53
-            out[a:b] = mean + std * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
-        return out.reshape(shape)
+            u1 = ((self._draws(state, i, j) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
+            u2 = (self._draws(state, n + i, n + j) >> np.uint64(11)).astype(np.float64) * _INV53
+            out[i - a:j - a] = mean + std * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
+        return out.reshape(out_shape)
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is negligible for n << 2**64."""

@@ -12,7 +12,7 @@ from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
 from msun import cli, config
 from msun.cli import main
-from msun.data import load_idx
+from msun.data import gen_shapes, load_idx
 
 TINY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.cfg")
 
@@ -129,6 +129,7 @@ class TestHostileConfigs:
         ("data.noise", "-1"),
         ("train.base_lr", "nan"), ("data.noise", "nan"), ("msun.lambda", "inf"),
         ("data.n_train", "0"), ("data.n_test", "0"),
+        ("train.base_lr", "-1"), ("train.base_lr", "0"),
     ])
     def test_exits_2_naming_the_key(self, key, value, capsys, tmp_path):
         cfg = _tiny_with(tmp_path, {key: value})
@@ -227,6 +228,70 @@ class TestCka:
         assert code == 2
 
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_bad_probe_samples_exits_2_naming_the_key(self, trained, value, capsys,
+                                                      tmp_path):
+        code = main(["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--scales", "8,32",
+                     "--config", _tiny_with(tmp_path, {"cka.probe_samples": value})])
+        assert code == 2
+        assert "cka.probe_samples" in capsys.readouterr().err
+
+
+def _whole_split_then_slice(seed, n_samples, *args, start=0, stop=None):
+    """The render the analysis commands did before ranges: the whole split, sliced."""
+    return gen_shapes(seed, n_samples, *args).subset(slice(start, stop))
+
+
+class TestRangeRender:
+    """cka and gradcam render only what they read, with unchanged outputs."""
+
+    @staticmethod
+    def _both_paths(argv, tmp_path, monkeypatch):
+        """Run ``argv`` on the range render and on the whole-split render.
+
+        Asserts the two outputs are byte-identical and returns the
+        (n_samples, start, stop) of each render the range path asked for.
+        """
+        requested = []
+
+        def spy(seed, n_samples, *args, start=0, stop=None):
+            requested.append((n_samples, start, stop))
+            return gen_shapes(seed, n_samples, *args, start=start, stop=stop)
+
+        outputs = []
+        for render in (spy, _whole_split_then_slice):
+            monkeypatch.setattr(cli, "gen_shapes", render)
+            out = tmp_path / f"{render.__name__}.out"
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        return requested
+
+    def test_cka_renders_the_probe_prefix(self, trained, tmp_path, monkeypatch):
+        # an 80-image test split, of which the 64-sample probe reads the first 64
+        cfg = _tiny_with(tmp_path, {"data.n_test": "80"})
+        requested = self._both_paths(
+            ["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+             "--scales", "8,32", "--config", cfg], tmp_path, monkeypatch)
+        assert requested == [(80, 0, 64)]
+
+    def test_cka_probe_larger_than_split(self, trained, tmp_path, monkeypatch):
+        cfg = _tiny_with(tmp_path, {"cka.probe_samples": "1000"})
+        requested = self._both_paths(
+            ["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+             "--scales", "16,32", "--config", cfg], tmp_path, monkeypatch)
+        assert requested == [(64, 0, 64)]
+
+    @pytest.mark.parametrize("index", [0, 37, 63])
+    def test_gradcam_renders_one_sample(self, trained, index, tmp_path, monkeypatch):
+        requested = self._both_paths(
+            ["gradcam", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+             "--class", "2", "--index", str(index), "--config", TINY_CFG],
+            tmp_path, monkeypatch)
+        assert requested == [(64, index, index + 1)]
+
+
 class TestFlops:
     def test_golden_fixture(self, trained, capsys):
         code = main(["flops", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
@@ -252,6 +317,32 @@ class TestGradcam:
         code = main(["gradcam", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
                      "--class", "99", "--config", TINY_CFG])
         assert code == 2
+
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_index_outside_split_exits_2_before_rendering(self, trained, index,
+                                                          monkeypatch, capsys):
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered a dataset")
+
+        monkeypatch.setattr(cli, "gen_shapes", no_render)
+        code = main(["gradcam", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--class", "1", "--index", str(index), "--config", TINY_CFG])
+        assert code == 2
+        assert "--index" in capsys.readouterr().err
+
+    def test_idx_split_is_sliced(self, trained, tmp_path, capsys):
+        prefix = str(tmp_path / "test")
+        assert main(["gen-data", "--out", prefix, "--seed", "3", "--samples", "20",
+                     "--classes", "4", "--size", "32"]) == 0
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(f"data.kind = idx\ndata.idx_test_images = {prefix}-images.idx\n"
+                       f"data.idx_test_labels = {prefix}-labels.idx\n")
+        argv = ["gradcam", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                "--class", "1", "--config", str(cfg), "--index"]
+        assert main(argv + ["19"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["20"]) == 2
+        assert "--index 20" in capsys.readouterr().err
 
 
 class TestPca:

@@ -2,6 +2,7 @@
 
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from msun import gen_shapes, load_idx, make_multiscale, save_idx
 from msun.data import (Dataset, IdxCountMismatchError, IdxMagicError,
                        IdxTruncatedError, prefetch_batches, split_dataset)
 from msun.layers import resize_images
+from msun.rng import _CHUNK
 
 
 class TestGenShapes:
@@ -71,6 +73,46 @@ class TestGenShapes:
         per_image_min = ds.images[:, 0].min(axis=(1, 2))
         assert np.all(per_image_max > 0.4)
         assert np.all(per_image_min < 0.1)
+
+
+class TestGenShapesRange:
+    """``start``/``stop`` render a slice of the set without drawing the rest."""
+
+    @staticmethod
+    def _ranges(n, rows_per_chunk):
+        # a range across a block boundary of the noise draw, one from a later
+        # block across two boundaries, the last sample, and the whole set
+        return [(rows_per_chunk - 1, rows_per_chunk + 2), (3, 2 * rows_per_chunk + 1),
+                (n - 1, n), (0, n)]
+
+    @pytest.mark.parametrize("size", [16, 64])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_equals_slice_of_whole_render(self, size, noise):
+        rows_per_chunk = _CHUNK // (size * size)
+        n = 2 * rows_per_chunk + 5
+        whole = gen_shapes(21, n, 6, size, noise)
+        for start, stop in self._ranges(n, rows_per_chunk):
+            part = gen_shapes(21, n, 6, size, noise, start=start, stop=stop)
+            assert part.images.tobytes() == whole.images[start:stop].tobytes()
+            assert np.array_equal(part.labels, whole.labels[start:stop])
+            assert part.class_names == whole.class_names
+            assert part.native_size == size
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (5, 5), (6, 5), (-1, 3), (0, 11)])
+    def test_rejects_empty_or_outside_range(self, start, stop):
+        with pytest.raises(ValueError, match="n_samples=10"):
+            gen_shapes(0, 10, 4, 32, start=start, stop=stop)
+
+    def test_peak_memory_independent_of_set_size(self):
+        # 4 samples of a million-sample set: the other 999,996 are never drawn
+        tracemalloc.start()
+        try:
+            ds = gen_shapes(3, 10**6, 6, 32, start=500_000, stop=500_004)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 4
+        assert peak < 1 << 20
 
 
 class TestSplit:

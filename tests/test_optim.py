@@ -38,6 +38,7 @@ class TestTrainConfig:
         for bad in ({"warmup_epochs": -1}, {"lr_floor_fraction": -1.0},
                     {"lr_floor_fraction": math.nan}, {"lam": math.inf},
                     {"lam": math.nan}, {"base_lr": math.inf},
+                    {"base_lr": -1.0}, {"base_lr": 0.0},
                     {"weight_decay": math.nan}, {"weight_decay": math.inf}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)

@@ -280,6 +280,25 @@ class TestRng:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert r.next_u64() == Rng(state).next_u64()
 
+    @pytest.mark.parametrize("start,stop", [(0, 5), (1, 3), (4, 5), (2, 2)])
+    @pytest.mark.parametrize("draw", ["uniform", "normal"])
+    def test_rows_match_whole_draw(self, draw, start, stop):
+        # 5 rows of 3 * _CHUNK // 4 outputs: the rows cross block boundaries
+        shape = (5, 3, _CHUNK // 4)
+        whole_rng, part_rng = Rng(41), Rng(41)
+        whole = getattr(whole_rng, draw)(shape)
+        part = getattr(part_rng, draw)(shape, start=start, stop=stop)
+        assert part.shape == (stop - start,) + shape[1:]
+        assert np.array_equal(part.view(np.uint64), whole[start:stop].view(np.uint64))
+        assert part_rng.next_u64() == whole_rng.next_u64()
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 6)])
+    def test_rows_outside_draw_rejected(self, start, stop):
+        r = Rng(5)
+        with pytest.raises(ValueError, match="outside a draw of 5"):
+            r.normal((5, 2), start=start, stop=stop)
+        assert r.next_u64() == Rng(5).next_u64()
+
     def test_normal_peak_memory(self):
         # blocks keep every temporary small: the peak is the output plus a few blocks
         tracemalloc.start()
