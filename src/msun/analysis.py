@@ -17,6 +17,8 @@ from .layers import Conv2d, resize_images
 from .model import MsunModel, PlainBlock, ResidualBlock, Stem, route_scale
 from .tensor import Tensor
 
+CKA_MIN_SAMPLES = 64   # fewest probe samples layerwise_cka accepts
+
 
 def center_features(x: np.ndarray) -> np.ndarray:
     """Subtract each feature's mean over the samples (columns end up zero-mean)."""
@@ -92,7 +94,7 @@ def tap_activations(model: MsunModel, images: np.ndarray, size: int,
 
 def layerwise_cka(model: MsunModel, probe_images: np.ndarray, scale_a: int,
                   scale_b: int, taps: Optional[Sequence[str]] = None,
-                  min_samples: int = 64) -> CkaReport:
+                  min_samples: int = CKA_MIN_SAMPLES) -> CkaReport:
     """CKA between two input scales at every tapped layer, shallow to deep."""
     known = model.tap_names()
     if taps is None:

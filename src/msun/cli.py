@@ -12,7 +12,8 @@ import sys
 from typing import Optional
 
 from . import checkpoint as ckpt
-from .analysis import count_flops, grad_cam, layerwise_cka, pca_project, tap_activations
+from .analysis import (CKA_MIN_SAMPLES, count_flops, grad_cam, layerwise_cka, pca_project,
+                       tap_activations)
 from .config import Config, ConfigError, load_config
 from .data import IdxFormatError, gen_shapes, load_idx, save_idx
 from .experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
@@ -104,8 +105,20 @@ def cmd_cka(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
     scale_a, scale_b = (int(s) for s in args.scales.split(","))
+    want = cfg["cka.probe_samples"]
+
+    def probe_rows(n):
+        # the probe is the first min(cka.probe_samples, split size) test samples;
+        # a short probe fails here, before the split is rendered
+        if min(want, n) < CKA_MIN_SAMPLES:
+            key = ("cka.probe_samples" if want <= n else
+                   "data.n_test" if cfg["data.kind"] == "shapes" else "data.idx_test_images")
+            raise ConfigError(f"{key} leaves a CKA probe of {min(want, n)} samples, "
+                              f"need at least {CKA_MIN_SAMPLES}")
+        return 0, min(want, n)
+
+    (probe,) = _datasets(cfg, "test", rows=probe_rows)
     model = ckpt.load_model(args.checkpoint)
-    (probe,) = _datasets(cfg, "test", rows=lambda n: (0, min(cfg["cka.probe_samples"], n)))
     taps = None
     taps_text = args.taps if args.taps is not None else cfg["cka.taps"]
     if taps_text:

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 from .fileio import atomic_write
 from .model import BackboneSpec, ScaleSet
-from .optim import TrainConfig
+from .optim import MAX_BASE_LR, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -64,17 +64,20 @@ def _finite_at_least(low):
     return (lambda v: math.isfinite(v) and v >= low), f"finite and >= {low}"
 
 
+_UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0), "finite and in [0, 1)"
+
+
 # key -> (check, what it requires), applied to every loaded value
 RULES = {
     "data.n_train": _at_least(1),
     "data.n_test": _at_least(1),
     "data.noise": _finite_at_least(0.0),
-    "train.base_lr": ((lambda v: math.isfinite(v) and v > 0.0), "finite and > 0"),
-    "train.momentum": ((lambda v: 0.0 <= v < 1.0), "finite and in [0, 1)"),
-    "train.weight_decay": _finite_at_least(0.0),
+    "train.base_lr": ((lambda v: 0.0 < v <= MAX_BASE_LR), f"finite and in (0, {MAX_BASE_LR:g}]"),
+    "train.momentum": _UNIT_INTERVAL,
+    "train.weight_decay": _UNIT_INTERVAL,
     "train.batch_size": _at_least(1),
     "train.warmup_epochs": _at_least(0),
-    "train.lr_floor_fraction": _finite_at_least(0.0),
+    "train.lr_floor_fraction": ((lambda v: 0.0 <= v <= 1.0), "finite and in [0, 1]"),
     "msun.lambda": _finite_at_least(0.0),
     "cka.probe_samples": _at_least(1),
 }

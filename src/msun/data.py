@@ -44,7 +44,7 @@ class IdxCountMismatchError(IdxFormatError):
 
 @dataclass
 class Dataset:
-    images: np.ndarray          # [N,3,H,W] float32 in [0,1]
+    images: np.ndarray          # [N,1,H,W] float32 in [0,1]: grey, one channel
     labels: np.ndarray          # [N] int64
     class_names: List[str]
     native_size: int
@@ -69,7 +69,7 @@ class Dataset:
 class MultiScaleBatch:
     """The same samples, in the same order, resized to every quantized scale."""
 
-    images: List[np.ndarray]    # one [B,3,R_i,R_i] array per scale
+    images: List[np.ndarray]    # one [B,C,R_i,R_i] array per scale
     labels: np.ndarray
 
 
@@ -101,6 +101,9 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
                noise: float = 0.05, start: int = 0, stop: int = None) -> Dataset:
     """Balanced procedural shape dataset, rendered natively at ``size``.
 
+    Images are grey, ``[N,1,size,size]``: a stem convolution reads the one
+    channel as each of its input channels (see ``layers.conv2d``).
+
     ``start``/``stop`` render only samples [start, stop) of the
     ``n_samples``-sample set (all of them by default), bit for bit equal to
     the whole set sliced the same way. Only that range is drawn: parameter
@@ -129,7 +132,7 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
     coords = (np.arange(size, dtype=np.float64) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
 
-    images = np.empty((stop - start, 3, size, size), dtype=np.float32)
+    images = np.empty((stop - start, 1, size, size), dtype=np.float32)
     labels = np.arange(start, stop, dtype=np.int64) % n_classes
     for idx in range(stop - start):
         cx = 0.35 + 0.30 * params[idx, 0]
@@ -148,7 +151,7 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
         img = bright * np.clip(0.5 - d / edge, 0.0, 1.0)
         if noise_field is not None:
             img = img + noise_field[idx]
-        images[idx] = np.clip(img, 0.0, 1.0)[None, :, :]
+        images[idx, 0] = np.clip(img, 0.0, 1.0)
     return Dataset(images, labels, list(CLASS_NAMES[:n_classes]), size)
 
 
@@ -173,7 +176,7 @@ def load_idx(images_path: str, labels_path: str,
              class_names: Sequence[str] = None) -> Dataset:
     """Read an IDX image/label pair into a float dataset.
 
-    Pixels are scaled to [0,1] and the single channel replicated to three.
+    Pixels are scaled to [0,1] and kept as one channel, ``[N,1,H,W]``.
     """
     with open(images_path, "rb") as fh:
         raw = fh.read()
@@ -201,7 +204,6 @@ def load_idx(images_path: str, labels_path: str,
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
 
     images = (pixels.astype(np.float32) / 255.0)[:, None, :, :]
-    images = np.repeat(images, 3, axis=1)
     if class_names is None:
         n_classes = int(labels.max()) + 1 if n else 1
         class_names = [f"class{i}" for i in range(n_classes)]
@@ -209,7 +211,7 @@ def load_idx(images_path: str, labels_path: str,
 
 
 def save_idx(ds: Dataset, images_path: str, labels_path: str) -> None:
-    """Write the red channel as u8 IDX images plus a u8 IDX label file."""
+    """Write channel 0 as u8 IDX images plus a u8 IDX label file."""
     n, _, h, w = ds.images.shape
     pixels = np.rint(ds.images[:, 0] * 255.0).astype(np.uint8)
     with atomic_write(images_path, binary=True) as fh:

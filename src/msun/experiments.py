@@ -131,6 +131,9 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
             del logits   # free this step's tape before the next forward
             sums += (breakdown.total, breakdown.ce_sum, breakdown.si, breakdown.clamped)
             step += 1
+        for name, buf in model.named_buffers():   # never checkpoint broken statistics
+            if not np.all(np.isfinite(buf)):
+                raise NonFiniteError(f"epoch {epoch}: non-finite batch-norm buffer {name}")
         avg = sums / steps_per_epoch
         train_acc = correct / len(train_ds)
         test_acc = evaluate_accuracy(model, test_ds, canonical)

@@ -10,10 +10,13 @@ with per-offset first-max masks, and batch norm works in place. A
 forward-only pass (``no_grad``, or no input requiring grad) keeps no
 buffer that only a backward reads: conv refills one block of columns for
 every block instead of keeping them all, and batch norm applies its affine
-in place over the normalized input. None of this changes a float
-operation or its order. Backward rules skip operands
-that do not require grad: a stem convolution over raw images computes no
-image gradient, and a linear map over constant features none for its input.
+in place over the normalized input. Grey images stay one channel up to
+the stem: conv reads a one-channel input as that channel repeated across
+the weight's input channels, filling the repeats by copying the gathered
+columns. None of this changes a float operation or its order. Backward
+rules skip operands that do not require grad: a stem convolution over raw
+images computes no image gradient, and a linear map over constant features
+none for its input.
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
@@ -88,13 +91,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     block's per-sample GEMMs run while it is still in cache. When a tape
     node is recorded the whole column buffer is kept for the weight
     gradient; a forward-only pass refills one block's worth.
+
+    A one-channel input against a weight with ``cin > 1`` channels is read
+    as that channel repeated ``cin`` times (a grey image): each block
+    gathers the channel once and copies it into the other channel slots, so
+    the GEMMs see the same columns as for the repeated input. Such an input
+    takes no gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
     m, cin, k, _ = weight.shape
-    if x.shape[1] != cin:
-        raise ShapeError(f"conv2d: input has {x.shape[1]} channels, weight expects {cin}")
-    n, _, h, w = x.shape
+    n, c, h, w = x.shape
+    if c != cin and c != 1:
+        raise ShapeError(f"conv2d: input has {c} channels, weight expects {cin}")
+    if c != cin and x.requires_grad:
+        raise ShapeError(f"conv2d: a one-channel input read as {cin} channels takes no gradient")
     hp, wp = h + 2 * pad, w + 2 * pad
     if hp < k or wp < k:
         raise ShapeError(f"spatial size {h}x{w} with pad {pad} is smaller than kernel {k}")
@@ -104,7 +115,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     taped = records((x, weight, bias))
     cols6 = np.empty((n if taped else min(n, _BLOCK), cin, k, k, ho, wo), dtype=xd.dtype)
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
-    xp = np.zeros((min(n, _BLOCK), cin, hp, wp), dtype=xd.dtype) if pad else None
+    xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         blk = cols6[a:b] if taped else cols6[:b - a]
@@ -114,8 +125,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             src[:, :, pad:pad + h, pad:pad + w] = xd[a:b]
         for di in range(k):
             for dj in range(k):
-                blk[:, :, di, dj] = src[:, :, di:di + ho * stride:stride,
-                                        dj:dj + wo * stride:stride]
+                blk[:, :c, di, dj] = src[:, :, di:di + ho * stride:stride,
+                                         dj:dj + wo * stride:stride]
+        if c < cin:
+            blk[:, 1:] = blk[:, :1]
         np.matmul(w2, blk.reshape(b - a, cin * k * k, ho * wo), out=out[a:b])
         out[a:b] += bias.data[None, :, None]
     x_shape = x.shape

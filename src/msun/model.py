@@ -387,9 +387,11 @@ class MsunModel:
             raise ShapeError(f"branch {i} expects size {self.scales[i]}, "
                              f"got {x.shape[2]}x{x.shape[3]}")
         feats = self._subnet_forward(i, x)
-        if feats.shape[1:] != self.feature_shape:
-            raise ShapeError(f"subnet {i} produced {feats.shape[1:]}, "
-                             f"expected {self.feature_shape}")
+        want = self.feature_shape
+        if self.subnet_blocks == 0:   # the resized input: grey data keeps one channel
+            want = feats.shape[1:2] + want[1:]
+        if feats.shape[1:] != want:
+            raise ShapeError(f"subnet {i} produced {feats.shape[1:]}, expected {want}")
         if taps is not None and "features" in taps:
             taps["features"] = feats
         return self._head_forward(feats, taps, stat_set=i), feats

@@ -10,6 +10,12 @@ import numpy as np
 from .tensor import NonFiniteError, Tensor
 
 
+# Largest accepted base learning rate, 10,000 times the default. A run this
+# fast can still diverge (exit 3); from about 1e4 up, one epoch of the tiny
+# config already overflows the batch-norm statistics.
+MAX_BASE_LR = 1e3
+
+
 @dataclass
 class TrainConfig:
     base_lr: float = 0.1
@@ -25,14 +31,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise ValueError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < 1.0:
+            raise ValueError(f"weight decay must be in [0, 1), got {self.weight_decay}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.base_lr) and self.base_lr > 0.0):
-            raise ValueError(f"base learning rate must be finite and > 0, got {self.base_lr}")
-        if not (math.isfinite(self.lr_floor_fraction) and self.lr_floor_fraction >= 0.0):
-            raise ValueError("learning-rate floor fraction must be finite and >= 0, "
+        if not 0.0 < self.base_lr <= MAX_BASE_LR:
+            raise ValueError(f"base learning rate must be in (0, {MAX_BASE_LR:g}], "
+                             f"got {self.base_lr}")
+        if not 0.0 <= self.lr_floor_fraction <= 1.0:
+            raise ValueError("learning-rate floor fraction must be in [0, 1], "
                              f"got {self.lr_floor_fraction}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")

@@ -10,7 +10,7 @@ import pytest
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
-from msun import cli, config
+from msun import cli, config, experiments
 from msun.cli import main
 from msun.data import gen_shapes, load_idx
 
@@ -77,8 +77,8 @@ data.classes = 4
 data.native = 32
 data.scales = 8,16,32
 model.widths = 6,12
-train.base_lr = 1e30
-train.epochs = 1
+train.base_lr = 1000
+train.epochs = 2
 train.warmup_epochs = 0
 train.batch_size = 64
 """)
@@ -86,6 +86,19 @@ train.batch_size = 64
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_buffer_exits_3(self, monkeypatch, capsys, tmp_path):
+        def poisoned(*args):
+            model = MsunModel(*args)
+            dict(model.named_buffers())["unified.block1.bn.running_var"][:] = np.inf
+            return model
+
+        monkeypatch.setattr(experiments, "MsunModel", poisoned)
+        code = main(["train", "--method", "msun", "--config", TINY_CFG,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "unified.block1.bn.running_var" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.msun").exists()
 
     def test_smoke_run_writes_three_artifacts_fast(self, trained):
         # the module fixture ran the bundled tiny config; check its outputs
@@ -130,6 +143,8 @@ class TestHostileConfigs:
         ("train.base_lr", "nan"), ("data.noise", "nan"), ("msun.lambda", "inf"),
         ("data.n_train", "0"), ("data.n_test", "0"),
         ("train.base_lr", "-1"), ("train.base_lr", "0"),
+        ("train.weight_decay", "1e6"), ("train.base_lr", "1e6"),
+        ("train.lr_floor_fraction", "1e6"),
     ])
     def test_exits_2_naming_the_key(self, key, value, capsys, tmp_path):
         cfg = _tiny_with(tmp_path, {key: value})
@@ -236,6 +251,22 @@ class TestCka:
                      "--config", _tiny_with(tmp_path, {"cka.probe_samples": value})])
         assert code == 2
         assert "cka.probe_samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values,key", [
+        ({"cka.probe_samples": "10"}, "cka.probe_samples"),
+        ({"cka.probe_samples": "256", "data.n_test": "10"}, "data.n_test"),
+    ])
+    def test_short_probe_exits_2_before_any_work(self, trained, values, key, tmp_path,
+                                                 monkeypatch, capsys):
+        def untouched(*args, **kwargs):
+            raise AssertionError("rendered a dataset or loaded the checkpoint")
+
+        monkeypatch.setattr(cli, "gen_shapes", untouched)
+        monkeypatch.setattr(cli.ckpt, "load_model", untouched)
+        code = main(["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--scales", "8,32", "--config", _tiny_with(tmp_path, values)])
+        assert code == 2
+        assert f"{key} leaves a CKA probe of 10 samples" in capsys.readouterr().err
 
 
 def _whole_split_then_slice(seed, n_samples, *args, start=0, stop=None):
@@ -378,7 +409,7 @@ class TestGenData:
               "--samples", "20", "--classes", "4", "--size", "32"])
         ds = load_idx(str(tmp_path / "d-images.idx"), str(tmp_path / "d-labels.idx"))
         assert len(ds) == 20
-        assert ds.images.shape == (20, 3, 32, 32)
+        assert ds.images.shape == (20, 1, 32, 32)
 
     def test_corrupt_idx_exits_4(self, tmp_path, capsys):
         img = tmp_path / "x-images.idx"

@@ -82,6 +82,31 @@ class TestConv2d:
                                  oracles.conv2d_im2col(x, wt, b, g, stride, pad)):
             assert a.dtype == want.dtype and np.array_equal(a, want), name
 
+    @pytest.mark.parametrize("n", [13, 16])
+    @pytest.mark.parametrize("shape", EXACT_SHAPES[:3], ids=str)
+    def test_one_channel_reads_as_repeated(self, shape, n):
+        # a grey image against a 3-channel stem: the columns, so the output and
+        # the weight and bias gradients, equal those of the repeated image
+        c, h, w, m, k, stride, pad = shape
+        rng = Rng(3200 + h + k + n)
+        x, wt, b = randn(rng, (n, 1, h, w)), randn(rng, (m, c, k, k), 0.3), randn(rng, (m,))
+        params = (Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True))
+        grey, rgb = Tensor(x), Tensor(np.repeat(x, c, axis=1))
+        got, want = conv2d(grey, *params, stride, pad), conv2d(rgb, *params, stride, pad)
+        g = randn(rng, want.shape)
+        assert np.array_equal(got.data, want.data)
+        for name, one, rep in zip(("gx", "gw", "gb"), got.node.grad_fn(g), want.node.grad_fn(g)):
+            assert (one is None and rep is None) or np.array_equal(one, rep), name
+        with no_grad():
+            free = conv2d(grey, *params, stride, pad)
+        assert free.node is None and np.array_equal(free.data, want.data)
+
+    def test_one_channel_requiring_grad_raises(self):
+        x = Tensor(np.zeros((1, 1, 4, 4), np.float32), requires_grad=True)
+        w = Tensor(np.zeros((1, 3, 3, 3), np.float32))
+        with pytest.raises(ShapeError, match="takes no gradient"):
+            conv2d(x, w, Tensor(np.zeros(1, np.float32)), 1, 1)
+
     def test_float64_input_keeps_float64(self):
         rng = Rng(33)
         x = randn(rng, (3, 2, 7, 7)).astype(np.float64)

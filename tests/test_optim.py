@@ -39,7 +39,8 @@ class TestTrainConfig:
                     {"lr_floor_fraction": math.nan}, {"lam": math.inf},
                     {"lam": math.nan}, {"base_lr": math.inf},
                     {"base_lr": -1.0}, {"base_lr": 0.0},
-                    {"weight_decay": math.nan}, {"weight_decay": math.inf}):
+                    {"weight_decay": math.nan}, {"weight_decay": math.inf},
+                    {"weight_decay": 1e6}, {"base_lr": 1e6}, {"lr_floor_fraction": 2.0}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
