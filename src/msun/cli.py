@@ -104,7 +104,7 @@ def cmd_eval(args) -> int:
 def cmd_cka(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
-    scale_a, scale_b = (int(s) for s in args.scales.split(","))
+    scale_a, scale_b = args.scales
     want = cfg["cka.probe_samples"]
 
     def probe_rows(n):
@@ -149,7 +149,7 @@ def cmd_gradcam(args) -> int:
         return args.index, args.index + 1
 
     (sample,) = _datasets(cfg, "test", rows=one_sample)
-    size = args.size or sample.native_size
+    size = sample.native_size if args.size is None else args.size
     image = resize_images(sample.images, size, size)
     try:
         cam = grad_cam(model, image, args.cls, native_size=size)
@@ -164,7 +164,7 @@ def cmd_pca(args) -> int:
     cfg = _load_cfg(args)
     model = ckpt.load_model(args.checkpoint)
     (test,) = _datasets(cfg, "test")
-    size = args.size or test.native_size
+    size = test.native_size if args.size is None else args.size
     coords = pca_project(tap_activations(model, test.images, size, ["pooled"])["pooled"])
     lines = ["sample_id,label,pc1,pc2"]
     for i, (label, (p1, p2)) in enumerate(zip(test.labels, coords)):
@@ -193,6 +193,20 @@ def cmd_ablation(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for an image size; argparse names the flag on failure."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _two_sizes(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"needs two sizes, e.g. 16,64, got {text!r}")
+    return tuple(_positive_int(p) for p in parts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="msun",
                                      description="multi-scale unified network harness")
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cka", help="layer-wise similarity between two input scales")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--scales", required=True, help="two sizes, e.g. 16,64")
+    p.add_argument("--scales", type=_two_sizes, required=True, help="two sizes, e.g. 16,64")
     p.add_argument("--taps", help="comma-separated tap names (default: all)")
     common(p)
     p.add_argument("--out")
@@ -226,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flops", help="per-layer cost table at one input size")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_positive_int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("gradcam", help="class-activation map as ASCII PGM")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--size", type=int, help="input size (default: native)")
+    p.add_argument("--size", type=_positive_int, help="input size (default: native)")
     p.add_argument("--index", type=int, default=0, help="test-set sample index")
     common(p)
     p.add_argument("--out")
@@ -241,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pca", help="2-D projection of pooled features")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--size", type=int)
+    p.add_argument("--size", type=_positive_int, help="input size (default: native)")
     common(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pca)

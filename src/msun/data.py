@@ -10,10 +10,7 @@ rendered on its own, equal to the same range of the whole set.
 from __future__ import annotations
 
 import math
-import os
-import queue
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -233,52 +230,10 @@ def make_multiscale(dataset: Dataset, scales, batch_size: int,
         yield MultiScaleBatch(views, dataset.labels[idx])
 
 
-def prefetch_batches(batches: Iterator, n_threads: int = None,
-                     depth: int = 4) -> Iterator:
-    """Optionally produce batches on a background thread (bounded, ordered).
+def prefetch_batches(batches: Iterator) -> Iterator:
+    """Yield ``batches`` unchanged and in order.
 
-    Thread count is capped by MSUN_THREADS (default 1 = synchronous); one
-    producer is always enough because order must be preserved. An exception
-    in the producer is re-raised in the consumer; a consumer that stops
-    early (close, break, error) stops the producer and joins it.
+    Batches are produced in the caller's thread. This is the one place the
+    training loop waits for a batch, so a profiler can time that wait here.
     """
-    if n_threads is None:
-        n_threads = int(os.environ.get("MSUN_THREADS", "1"))
-    if n_threads <= 1:
-        yield from batches
-        return
-    q: queue.Queue = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    _END = object()
-
-    def produce():
-        # each queue entry is (item, exception); _END closes the stream
-        try:
-            for item in batches:
-                if stop.is_set():
-                    return
-                q.put((item, None))
-        except BaseException as exc:
-            q.put((_END, exc))
-            return
-        q.put((_END, None))
-
-    worker = threading.Thread(target=produce, daemon=True)
-    worker.start()
-    try:
-        while True:
-            item, exc = q.get()
-            if exc is not None:
-                raise exc
-            if item is _END:
-                break
-            yield item
-    finally:
-        stop.set()
-        # free the queue so a producer blocked on put can see the stop
-        while worker.is_alive():
-            try:
-                q.get(timeout=0.01)
-            except queue.Empty:
-                pass
-        worker.join()
+    yield from batches

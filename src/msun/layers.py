@@ -404,14 +404,6 @@ class BatchNorm2d:
         self.momentum = momentum
         self.eps = eps
 
-    @property
-    def running_mean(self):
-        return self.running_means[-1]
-
-    @property
-    def running_var(self):
-        return self.running_vars[-1]
-
     def forward(self, x: Tensor, train: bool, stat_set: int = -1) -> Tensor:
         return batchnorm2d(x, self.gamma, self.beta, self.running_means[stat_set],
                            self.running_vars[stat_set], train, self.momentum, self.eps)

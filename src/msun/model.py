@@ -88,12 +88,7 @@ def route_scale(input_size: int, scales: ScaleSet) -> int:
     """Index of the quantized size nearest to input_size; ties go smaller."""
     if input_size < 1:
         raise ValueError(f"input size must be positive, got {input_size}")
-    best, best_d = 0, abs(input_size - scales[0])
-    for i in range(1, len(scales)):
-        d = abs(input_size - scales[i])
-        if d < best_d:
-            best, best_d = i, d
-    return best
+    return min(range(len(scales)), key=lambda i: abs(input_size - scales[i]))
 
 
 class PlainBlock:
@@ -322,29 +317,21 @@ class MsunModel:
         self.training = False
         return self
 
-    def named_params(self):
-        out = []
+    def named_layers(self):
+        """(name, layer) for every subnet's layers, then unified's, then the
+        head: the order of the checkpoint's parameters and buffers."""
         for i, subnet in enumerate(self.subnets):
-            for lname, layer in subnet.named_layers(f"subnet{i + 1}."):
-                for pname, p in layer.params():
-                    out.append((f"{lname}.{pname}", p))
-        for lname, layer in self.unified.named_layers("unified."):
-            for pname, p in layer.params():
-                out.append((f"{lname}.{pname}", p))
-        for pname, p in self.head.params():
-            out.append((f"head.{pname}", p))
-        return out
+            yield from subnet.named_layers(f"subnet{i + 1}.")
+        yield from self.unified.named_layers("unified.")
+        yield "head", self.head
+
+    def named_params(self):
+        return [(f"{lname}.{pname}", p)
+                for lname, layer in self.named_layers() for pname, p in layer.params()]
 
     def named_buffers(self):
-        out = []
-        for i, subnet in enumerate(self.subnets):
-            for lname, layer in subnet.named_layers(f"subnet{i + 1}."):
-                for bname, b in layer.buffers():
-                    out.append((f"{lname}.{bname}", b))
-        for lname, layer in self.unified.named_layers("unified."):
-            for bname, b in layer.buffers():
-                out.append((f"{lname}.{bname}", b))
-        return out
+        return [(f"{lname}.{bname}", b)
+                for lname, layer in self.named_layers() for bname, b in layer.buffers()]
 
     def parameters(self):
         return [p for _, p in self.named_params()]

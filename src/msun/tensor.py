@@ -178,14 +178,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
-    def reshape(self, shape) -> "Tensor":
-        shape = tuple(shape)
-        if int(np.prod(shape)) != self.data.size:
-            raise ShapeError(f"cannot reshape {self.data.shape} to {shape}")
-        old = self.data.shape
-        return from_op(self.data.reshape(shape), "reshape", (self,),
-                       lambda g: (g.reshape(old),))
-
     # arithmetic sugar over the primitive set
     def __add__(self, other):
         return add(self, other)
@@ -196,12 +188,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def relu(self):
         return relu(self)
 
@@ -210,9 +196,6 @@ class Tensor:
 
     def mean(self):
         return tmean(self)
-
-    def backward(self):
-        backward(self)
 
 
 def records(inputs) -> bool:
@@ -275,17 +258,6 @@ def mul(a, b) -> Tensor:
     return from_op(a.data * b.data, "mul", (a, b), grad_fn)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    """Multiply by a python scalar (no tensor allocated for the constant)."""
-    s = float(s)
-    return from_op(a.data * np.asarray(s, dtype=a.data.dtype), "scale", (a,),
-                   lambda g: (g * s,))
-
-
-def neg(a: Tensor) -> Tensor:
-    return from_op(-a.data, "neg", (a,), lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     if _branch_sink is not None:
@@ -295,19 +267,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return from_op(a.data * mask, "relu", (a,), grad_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-
-    def grad_fn(g):
-        return (g @ bd.T, ad.T @ g)
-
-    return from_op(ad @ bd, "matmul", (a, b), grad_fn)
 
 
 def tsum(a: Tensor) -> Tensor:

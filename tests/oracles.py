@@ -7,20 +7,6 @@ summation) and never calls into the package's own compute paths.
 import numpy as np
 
 
-def matmul_loops(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for p in range(k):
-                acc += float(a[i, p]) * float(b[p, j])
-            out[i, j] = acc
-    return out
-
-
 def conv2d_loops(x, w, b, stride, pad):
     n, c, h, wd = x.shape
     m, _, k, _ = w.shape

@@ -388,6 +388,37 @@ class TestPca:
         float(first[2]), float(first[3])
 
 
+class TestSizeFlags:
+    """Image sizes are positive integers; a bad one exits 2 naming its flag."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["flops"],
+        ["gradcam", "--class", "1", "--config", TINY_CFG],
+        ["pca", "--config", TINY_CFG],
+    ])
+    def test_nonpositive_size_exits_2(self, trained, argv, value, capsys):
+        code = main(argv + ["--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                            "--size", value])
+        assert code == 2
+        assert "--size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0,32", "16,-1", "16,x"])
+    def test_nonpositive_scale_exits_2(self, trained, value, capsys):
+        code = main(["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--scales", value, "--config", TINY_CFG])
+        assert code == 2
+        assert "--scales" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["16", "16,32,64"])
+    def test_scale_count_exits_2(self, trained, value, capsys):
+        code = main(["cka", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--scales", value, "--config", TINY_CFG])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--scales" in err and "two sizes" in err
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):

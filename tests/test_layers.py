@@ -297,9 +297,9 @@ class TestBatchNorm:
         rng = Rng(8)
         x = Tensor(randn(rng, (4, 2, 3, 3), 1.0, 2.0))
         layer.forward(x, train=False)
-        assert np.array_equal(layer.running_mean, np.zeros(2, np.float32))
+        assert np.array_equal(layer.running_means[-1], np.zeros(2, np.float32))
         layer.forward(x, train=True)
-        assert not np.array_equal(layer.running_mean, np.zeros(2, np.float32))
+        assert not np.array_equal(layer.running_means[-1], np.zeros(2, np.float32))
 
     def test_single_pixel_batch_uses_eps(self):
         layer = BatchNorm2d(1)
