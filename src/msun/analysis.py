@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .layers import Conv2d, resize_images
-from .model import MsunModel, PlainBlock, ResidualBlock, Stem, route_scale
+from .layers import resize_images
+from .model import MsunModel, route_scale
 from .tensor import Tensor
 
 CKA_MIN_SAMPLES = 64   # fewest probe samples layerwise_cka accepts
@@ -158,22 +158,13 @@ def count_flops(model: MsunModel, input_size: int) -> FlopsReport:
     size = model.scales[branch]
     rows: List[FlopsRow] = []
 
-    def conv_row(name: str, conv: Conv2d, in_size: int) -> int:
-        out = conv.out_size(in_size)
-        flops = 2 * conv.in_channels * conv.out_channels * conv.kernel_size ** 2 * out * out
-        rows.append(FlopsRow(name, conv.in_channels, conv.out_channels,
-                             conv.kernel_size, out, out, flops))
-        return out
-
     def walk(stack, prefix, size):
         for bname, block in stack.blocks:
-            if isinstance(block, (Stem, PlainBlock)):
-                conv_row(f"{prefix}{bname}.conv", block.conv, size)
-            else:  # residual
-                out1 = conv_row(f"{prefix}{bname}.conv1", block.conv1, size)
-                conv_row(f"{prefix}{bname}.conv2", block.conv2, out1)
-                if block.proj is not None:
-                    conv_row(f"{prefix}{bname}.proj", block.proj, size)
+            for cname, conv, in_size in block.convs(size):
+                out = conv.out_size(in_size)
+                n, m, k = conv.in_channels, conv.out_channels, conv.kernel_size
+                rows.append(FlopsRow(f"{prefix}{bname}.{cname}", n, m, k, out, out,
+                                     2 * n * m * k ** 2 * out * out))
             size = block.out_size(size)
         return size
 
@@ -274,7 +265,7 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
         raise ValueError(f"class {target_class} out of range [0, {n_classes})")
     model.eval()
     model.zero_grad()
-    last_tap = f"unified.{model.unified.block_names()[-1]}"
+    last_tap = f"unified.{model.unified.blocks[-1][0]}"
     taps = {last_tap: None}
     logits = model.forward_infer(image, native_size, taps=taps)
     feats = taps[last_tap]

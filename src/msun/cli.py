@@ -94,9 +94,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     cfg = _load_cfg(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
     (test,) = _datasets(cfg, "test")
-    report = eval_multiscale(args.checkpoint, test, sizes)
+    report = eval_multiscale(args.checkpoint, test, args.sizes)
     _emit(report.to_csv(), args.out)
     return 0
 
@@ -185,9 +184,7 @@ def cmd_gen_data(args) -> int:
 def cmd_ablation(args) -> int:
     cfg = _load_cfg(args)
     train_ds, test_ds = _datasets(cfg, "train", "test")
-    b_values = [int(v) for v in args.B.split(",")]
-    s_values = [int(v) for v in args.S.split(",")]
-    rows = ablation_grid(b_values, s_values, cfg.backbone(), cfg.train_config(),
+    rows = ablation_grid(args.B, args.S, cfg.backbone(), cfg.train_config(),
                          train_ds, test_ds, cfg["eval.sizes"])
     _emit(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     return 0
@@ -200,11 +197,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _sizes(text: str) -> list:
+    return [_positive_int(p) for p in text.split(",")]
+
+
 def _two_sizes(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
+    if text.count(",") != 1:
         raise argparse.ArgumentTypeError(f"needs two sizes, e.g. 16,64, got {text!r}")
-    return tuple(_positive_int(p) for p in parts)
+    return tuple(_sizes(text))
+
+
+def _ints(text: str) -> list:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, "
+                                         f"got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="multi-size accuracy/FLOPs sweep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
     common(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
@@ -270,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("ablation", help="train a grid over subnet blocks and counts")
-    p.add_argument("--B", required=True, help="comma-separated block counts")
-    p.add_argument("--S", required=True, help="comma-separated subnet counts")
+    p.add_argument("--B", type=_ints, required=True, help="comma-separated block counts")
+    p.add_argument("--S", type=_ints, required=True, help="comma-separated subnet counts")
     common(p, config_required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablation)

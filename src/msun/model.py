@@ -15,7 +15,7 @@ the canonical size by the routing step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,21 +91,34 @@ def route_scale(input_size: int, scales: ScaleSet) -> int:
     return min(range(len(scales)), key=lambda i: abs(input_size - scales[i]))
 
 
-class PlainBlock:
-    """conv3x3 -> BN -> ReLU, optionally strided."""
+# stem (kernel, stride, pool) per downsample factor; 4 is the canonical-scale stem
+STEMS = {4: (5, 2, 2), 2: (3, 2, 0), 1: (3, 1, 0)}
 
-    def __init__(self, in_ch: int, out_ch: int, stride: int, rng: Rng, n_stat_sets=1):
-        self.conv = Conv2d(in_ch, out_ch, 3, stride, 1, rng)
+
+class ConvBlock:
+    """conv k x k (padding k // 2) -> BN -> ReLU, then a max-pool if ``pool``."""
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, rng: Rng,
+                 n_stat_sets=1, pool=0):
+        self.conv = Conv2d(in_ch, out_ch, kernel, stride, kernel // 2, rng)
         self.bn = BatchNorm2d(out_ch, n_stat_sets=n_stat_sets)
+        self.pool = pool
 
     def forward(self, x, train, stat_set=-1):
-        return self.bn.forward(self.conv.forward(x, train), train, stat_set).relu()
+        h = self.bn.forward(self.conv.forward(x, train), train, stat_set).relu()
+        if self.pool:
+            h = maxpool2d(h, self.pool, self.pool)
+        return h
 
     def children(self):
         return [("conv", self.conv), ("bn", self.bn)]
 
+    def convs(self, size):
+        return [("conv", self.conv, size)]
+
     def out_size(self, size):
-        return self.conv.out_size(size)
+        out = self.conv.out_size(size)
+        return out // self.pool if self.pool else out
 
 
 class ResidualBlock:
@@ -137,47 +150,14 @@ class ResidualBlock:
             out += [("proj", self.proj), ("proj_bn", self.proj_bn)]
         return out
 
+    def convs(self, size):
+        out = [("conv1", self.conv1, size), ("conv2", self.conv2, self.conv1.out_size(size))]
+        if self.proj is not None:
+            out.append(("proj", self.proj, size))
+        return out
+
     def out_size(self, size):
         return self.conv1.out_size(size)
-
-
-class Stem:
-    """Input block. The downsample factor selects the variant:
-
-    4 -> conv5x5/2 + BN + ReLU + maxpool2 (the canonical-scale stem),
-    2 -> conv3x3/2 + BN + ReLU,
-    1 -> conv3x3/1 + BN + ReLU.
-    """
-
-    FACTORS = (1, 2, 4)
-
-    def __init__(self, in_ch: int, out_ch: int, downsample: int, rng: Rng, n_stat_sets=1):
-        if downsample not in self.FACTORS:
-            raise ValueError(f"unsupported stem downsample factor {downsample}")
-        self.downsample = downsample
-        if downsample == 4:
-            self.conv = Conv2d(in_ch, out_ch, 5, 2, 2, rng)
-            self.pool = 2
-        elif downsample == 2:
-            self.conv = Conv2d(in_ch, out_ch, 3, 2, 1, rng)
-            self.pool = 0
-        else:
-            self.conv = Conv2d(in_ch, out_ch, 3, 1, 1, rng)
-            self.pool = 0
-        self.bn = BatchNorm2d(out_ch, n_stat_sets=n_stat_sets)
-
-    def forward(self, x, train, stat_set=-1):
-        h = self.bn.forward(self.conv.forward(x, train), train, stat_set).relu()
-        if self.pool:
-            h = maxpool2d(h, self.pool, self.pool)
-        return h
-
-    def children(self):
-        return [("conv", self.conv), ("bn", self.bn)]
-
-    def out_size(self, size):
-        out = self.conv.out_size(size)
-        return out // self.pool if self.pool else out
 
 
 class Stack:
@@ -193,23 +173,21 @@ class Stack:
                 taps[prefix + name] = x
         return x
 
-    def named_layers(self, prefix=""):
-        for name, block in self.blocks:
-            for cname, child in block.children():
-                yield f"{prefix}{name}.{cname}", child
-
-    def block_names(self, prefix=""):
-        return [prefix + name for name, _ in self.blocks]
-
     def out_size(self, size):
         for _, block in self.blocks:
             size = block.out_size(size)
         return size
 
 
+def _stem(out_ch, downsample, rng, n_stat_sets=1):
+    kernel, stride, pool = STEMS[downsample]
+    return ConvBlock(3, out_ch, kernel, stride, rng, n_stat_sets, pool)
+
+
 def _make_block(kind, in_ch, out_ch, stride, rng, n_stat_sets=1):
-    cls = PlainBlock if kind == "plain" else ResidualBlock
-    return cls(in_ch, out_ch, stride, rng, n_stat_sets)
+    if kind == "plain":
+        return ConvBlock(in_ch, out_ch, 3, stride, rng, n_stat_sets)
+    return ResidualBlock(in_ch, out_ch, stride, rng, n_stat_sets)
 
 
 def _block_plan(spec: BackboneSpec):
@@ -257,7 +235,6 @@ class MsunModel:
         self.scales = scales
         self.subnet_blocks = subnet_blocks
         self.training = True
-        self.branch_calls = [0] * len(scales)
 
         plan = _block_plan(spec)
         canonical = spec.canonical_size
@@ -267,47 +244,37 @@ class MsunModel:
                 self.subnets.append(Stack([]))
                 continue
             ds = 4 * size // canonical
-            if ds not in Stem.FACTORS or 4 * size != ds * canonical:
+            if ds not in STEMS or 4 * size != ds * canonical:
                 raise ValueError(
                     f"no stem adaptation reaches the common feature shape for "
                     f"scale index {i} (size {size}, canonical {canonical})")
-            blocks = [("stem", Stem(3, spec.stage_widths[0], ds, rng))]
+            blocks = [("stem", _stem(spec.stage_widths[0], ds, rng))]
             for name, in_ch, out_ch, stride in plan[:subnet_blocks - 1]:
                 blocks.append((name, _make_block(spec.block_kind, in_ch, out_ch, stride, rng)))
             self.subnets.append(Stack(blocks))
 
         unified_blocks = []
         if subnet_blocks == 0:
-            unified_blocks.append(("stem", Stem(3, spec.stage_widths[0], 4, rng,
-                                                n_stat_sets=len(scales))))
+            unified_blocks.append(("stem", _stem(spec.stage_widths[0], 4, rng, len(scales))))
         for name, in_ch, out_ch, stride in plan[max(0, subnet_blocks - 1):]:
             unified_blocks.append((name, _make_block(spec.block_kind, in_ch, out_ch,
                                                      stride, rng, len(scales))))
         self.unified = Stack(unified_blocks)
         self.head = Linear(spec.stage_widths[-1], spec.num_classes, rng)
 
-        self.feature_shape = self._check_feature_shapes()
-
-    # -- structure ---------------------------------------------------------
-
-    def _check_feature_shapes(self):
-        """Common (channels, h, w) every subnet must emit; raises otherwise."""
-        shapes = []
-        for i, size in enumerate(self.scales):
-            if self.subnet_blocks == 0:
-                shapes.append((3, self.spec.canonical_size, self.spec.canonical_size))
-            else:
-                out = self.subnets[i].out_size(size)
-                ch = self._subnet_out_channels()
-                shapes.append((ch, out, out))
+        # the common (channels, h, w) every subnet emits: the first unified
+        # block's input
+        if subnet_blocks == 0:
+            shapes = [(3, canonical, canonical)]
+        else:
+            channels = plan[subnet_blocks - 1][1]
+            shapes = [(channels, out, out)
+                      for out in map(Stack.out_size, self.subnets, scales)]
         if len(set(shapes)) != 1:
             raise ValueError(f"subnet output shapes differ across scales: {shapes}")
-        return shapes[0]
+        self.feature_shape = shapes[0]
 
-    def _subnet_out_channels(self):
-        if self.subnet_blocks <= 1:
-            return self.spec.stage_widths[0]
-        return _block_plan(self.spec)[self.subnet_blocks - 2][2]
+    # -- structure ---------------------------------------------------------
 
     def train(self):
         self.training = True
@@ -320,9 +287,11 @@ class MsunModel:
     def named_layers(self):
         """(name, layer) for every subnet's layers, then unified's, then the
         head: the order of the checkpoint's parameters and buffers."""
-        for i, subnet in enumerate(self.subnets):
-            yield from subnet.named_layers(f"subnet{i + 1}.")
-        yield from self.unified.named_layers("unified.")
+        stacks = [(f"subnet{i + 1}.", s) for i, s in enumerate(self.subnets)]
+        for prefix, stack in stacks + [("unified.", self.unified)]:
+            for bname, block in stack.blocks:
+                for cname, child in block.children():
+                    yield f"{prefix}{bname}.{cname}", child
         yield "head", self.head
 
     def named_params(self):
@@ -341,15 +310,11 @@ class MsunModel:
             p.zero_grad()
 
     def tap_names(self):
-        names = ["features"]
-        names += [f"unified.{n}" for n in self.unified.block_names()]
-        names.append("pooled")
-        return names
+        return ["features"] + [f"unified.{n}" for n, _ in self.unified.blocks] + ["pooled"]
 
     # -- forward -----------------------------------------------------------
 
     def _subnet_forward(self, i: int, x: Tensor) -> Tensor:
-        self.branch_calls[i] += 1
         if self.subnet_blocks == 0:
             canonical = self.spec.canonical_size
             if x.shape[2] == canonical and x.shape[3] == canonical:

@@ -7,6 +7,7 @@ from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, average_accuracy,
                   build_vanilla, center_features, cka, count_flops, count_params,
                   gen_shapes, grad_cam, layerwise_cka, pca_project)
 from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm
+from msun.layers import Conv2d
 
 import oracles
 
@@ -185,6 +186,22 @@ class TestFlops:
         assert by_name["unified.block2.proj"] == 2 * 8 * 16 * 1 * 16
         # block1 keeps shape and channel count: identity skip, no proj row
         assert "unified.block1.proj" not in by_name
+
+    @pytest.mark.parametrize("kind", ["plain", "residual"])
+    def test_conv_rows_follow_checkpoint_layers(self, kind):
+        # rows come from each block's convs(), checkpoint names from its children()
+        spec = BackboneSpec((8, 16), (2, 1), kind, 4, 32)
+        scales = ScaleSet([8, 16, 32])
+        for b in range(spec.total_blocks):
+            model = MsunModel(spec, scales, b, Rng(0))
+            for branch, size in enumerate(scales):
+                rows = [(r.layer, r.n_in, r.m_out, r.k)
+                        for r in count_flops(model, size).rows if r.layer != "head"]
+                routed = (f"subnet{branch + 1}.", "unified.")
+                convs = [(name, c.in_channels, c.out_channels, c.kernel_size)
+                         for name, c in model.named_layers()
+                         if isinstance(c, Conv2d) and name.startswith(routed)]
+                assert rows == convs, (b, size)
 
 
 class TestParams:

@@ -418,6 +418,30 @@ class TestSizeFlags:
         err = capsys.readouterr().err
         assert "--scales" in err and "two sizes" in err
 
+    @pytest.mark.parametrize("value", ["16,abc", "0", "16,-1"])
+    def test_bad_eval_size_exits_2(self, trained, value, capsys):
+        code = main(["eval", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--sizes", value, "--config", TINY_CFG])
+        assert code == 2
+        assert "argument --sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,b_value,s_value", [
+        ("--B", "x", "1"), ("--B", "0,1.5", "1"), ("--S", "1", "2,y"),
+    ])
+    def test_non_integer_ablation_list_exits_2_before_rendering(
+            self, flag, b_value, s_value, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gen_shapes(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gen_shapes", counted)
+        code = main(["ablation", "--B", b_value, "--S", s_value, "--config", TINY_CFG])
+        assert code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):

@@ -134,6 +134,13 @@ class TestTransform:
             MsunModel(SPEC, ScaleSet([4, 32]), 1, Rng(0))
         assert "index 0" in str(exc.value)
 
+    def test_unequal_subnet_outputs_name_shapes(self):
+        # 33 px: conv3x3/2 gives 17; 66 px: conv5x5/2 then pool 2 gives 16
+        spec = BackboneSpec((8, 16), (1, 1), "plain", 4, 66)
+        with pytest.raises(ValueError) as exc:
+            MsunModel(spec, ScaleSet([33, 66]), 1, Rng(0))
+        assert "[(8, 17, 17), (8, 16, 16)]" in str(exc.value)
+
     def test_subnet_blocks_bound(self):
         with pytest.raises(ValueError):
             MsunModel(SPEC, SCALES, SPEC.total_blocks, Rng(0))
@@ -204,11 +211,18 @@ class TestForwardInfer:
         logits = model.forward_infer(x, 8)
         assert logits.data.shape == (2, 4)
 
-    def test_routes_exactly_one_branch(self):
+    def test_routes_exactly_one_branch(self, monkeypatch):
         model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
-        model.branch_calls = [0, 0, 0]
+        routed = []
+        forward_branch = model.forward_branch
+
+        def recording(i, *args, **kwargs):
+            routed.append(i)
+            return forward_branch(i, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_branch", recording)
         model.forward_infer(small_batch(Rng(1), 13, 2).data, 13)
-        assert model.branch_calls == [0, 1, 0]   # |13-16| = 3 beats |13-8| = 5
+        assert routed == [1]   # |13-16| = 3 beats |13-8| = 5
 
     def test_agrees_with_train_branch(self):
         model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
