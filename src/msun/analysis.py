@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .layers import resize_images
 from .model import MsunModel, route_scale
 from .tensor import Tensor
 
@@ -77,15 +76,13 @@ def tap_activations(model: MsunModel, images: np.ndarray, size: int,
                     taps: Sequence[str]) -> dict:
     """Per-sample activations at each tap as float32 ``[N, -1]``.
 
-    Images are resized to ``size`` and presented at that size, 128 at a time,
-    without recording a tape.
+    Images are presented at ``size``, 128 at a time, without recording a tape.
     """
     chunks = {t: [] for t in taps}
     with T.no_grad():
         for start in range(0, images.shape[0], 128):
-            x = resize_images(images[start:start + 128], size, size)
             captured = dict.fromkeys(taps)
-            model.forward_infer(x, size, taps=captured)
+            model.forward_infer(images[start:start + 128], size, taps=captured)
             for t in taps:
                 data = captured[t].data
                 chunks[t].append(data.reshape(data.shape[0], -1))
@@ -158,7 +155,8 @@ def count_flops(model: MsunModel, input_size: int) -> FlopsReport:
     size = model.scales[branch]
     rows: List[FlopsRow] = []
 
-    def walk(stack, prefix, size):
+    for prefix, stack in ((f"subnet{branch + 1}.", model.subnets[branch]),
+                          ("unified.", model.unified)):
         for bname, block in stack.blocks:
             for cname, conv, in_size in block.convs(size):
                 out = conv.out_size(in_size)
@@ -166,13 +164,6 @@ def count_flops(model: MsunModel, input_size: int) -> FlopsReport:
                 rows.append(FlopsRow(f"{prefix}{bname}.{cname}", n, m, k, out, out,
                                      2 * n * m * k ** 2 * out * out))
             size = block.out_size(size)
-        return size
-
-    if model.subnet_blocks > 0:
-        size = walk(model.subnets[branch], f"subnet{branch + 1}.", size)
-    else:
-        size = model.spec.canonical_size
-    size = walk(model.unified, "unified.", size)
     head = model.head
     rows.append(FlopsRow("head", head.weight.shape[1], head.weight.shape[0], 1, 1, 1,
                          2 * head.weight.shape[1] * head.weight.shape[0]))

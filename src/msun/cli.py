@@ -16,10 +16,9 @@ from .analysis import (CKA_MIN_SAMPLES, count_flops, grad_cam, layerwise_cka, pc
                        tap_activations)
 from .config import Config, ConfigError, load_config
 from .data import IdxFormatError, gen_shapes, load_idx, save_idx
-from .experiments import (ABLATION_HEADER, ExperimentSpec, ablation_grid,
-                          eval_multiscale, run_experiment)
+from .experiments import (ABLATION_HEADER, EVAL_SIZES_RULE, ExperimentSpec, ablation_grid,
+                          eval_multiscale, eval_sizes_ok, run_experiment)
 from .fileio import atomic_write
-from .layers import resize_images
 from .tensor import NonFiniteError
 
 
@@ -76,7 +75,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    train_ds, test_ds = _datasets(cfg, "train", "test")
     out_dir = args.out or f"msun-{args.method}"
     try:
         spec = ExperimentSpec(args.method, cfg.backbone(), cfg.train_config(),
@@ -84,6 +82,7 @@ def cmd_train(args) -> int:
                               out_dir=out_dir)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    train_ds, test_ds = _datasets(cfg, "train", "test")   # only once the spec holds
     cfg.write_resolved(out_dir)
     result = run_experiment(spec, train_ds, test_ds)
     print(f"wrote {result.checkpoint_path} (final test accuracy "
@@ -148,10 +147,8 @@ def cmd_gradcam(args) -> int:
         return args.index, args.index + 1
 
     (sample,) = _datasets(cfg, "test", rows=one_sample)
-    size = sample.native_size if args.size is None else args.size
-    image = resize_images(sample.images, size, size)
     try:
-        cam = grad_cam(model, image, args.cls, native_size=size)
+        cam = grad_cam(model, sample.images, args.cls, native_size=args.size)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _emit(cam.to_pgm(), args.out)
@@ -183,9 +180,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_ablation(args) -> int:
     cfg = _load_cfg(args)
+    backbone, train_cfg = cfg.backbone(), cfg.train_config()   # fail before rendering
     train_ds, test_ds = _datasets(cfg, "train", "test")
-    rows = ablation_grid(args.B, args.S, cfg.backbone(), cfg.train_config(),
-                         train_ds, test_ds, cfg["eval.sizes"])
+    rows = ablation_grid(args.B, args.S, backbone, train_cfg, train_ds, test_ds, cfg["eval.sizes"])
     _emit(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
@@ -199,6 +196,13 @@ def _positive_int(text: str) -> int:
 
 def _sizes(text: str) -> list:
     return [_positive_int(p) for p in text.split(",")]
+
+
+def _eval_sizes(text: str) -> list:
+    sizes = _sizes(text)
+    if not eval_sizes_ok(sizes):
+        raise argparse.ArgumentTypeError(f"need {EVAL_SIZES_RULE}, got {text!r}")
+    return sizes
 
 
 def _two_sizes(text: str) -> tuple:
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="multi-size accuracy/FLOPs sweep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated sizes")
+    p.add_argument("--sizes", type=_eval_sizes, required=True, help="comma-separated sizes")
     common(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)

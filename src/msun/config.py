@@ -11,6 +11,7 @@ import math
 import os
 from typing import Dict, Optional
 
+from .experiments import EVAL_SIZES_RULE, eval_sizes_ok
 from .fileio import atomic_write
 from .model import BackboneSpec, ScaleSet
 from .optim import MAX_BASE_LR, TrainConfig
@@ -79,6 +80,7 @@ RULES = {
     "train.warmup_epochs": _at_least(0),
     "train.lr_floor_fraction": ((lambda v: 0.0 <= v <= 1.0), "finite and in [0, 1]"),
     "msun.lambda": _finite_at_least(0.0),
+    "eval.sizes": (eval_sizes_ok, EVAL_SIZES_RULE),
     "cka.probe_samples": _at_least(1),
 }
 
@@ -91,7 +93,10 @@ class Config:
         return self.values[key]
 
     def scales(self) -> ScaleSet:
-        return ScaleSet(self["data.scales"])
+        try:
+            return ScaleSet(self["data.scales"])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for data.scales: {exc}") from exc
 
     def backbone(self) -> BackboneSpec:
         return BackboneSpec(

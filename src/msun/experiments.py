@@ -39,7 +39,6 @@ class ExperimentSpec:
     train: TrainConfig
     scales: ScaleSet
     subnet_blocks: int = 1
-    eval_sizes: tuple = ()
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -47,8 +46,14 @@ class ExperimentSpec:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method == "msun" and len(self.scales) < 2:
             raise ValueError("msun training requires at least 2 scales")
-        if any(s < 8 for s in self.eval_sizes):
-            raise ValueError("evaluation sizes must be >= 8")
+
+
+EVAL_SIZES_RULE = "at least one size, each >= 8, in ascending order"
+
+
+def eval_sizes_ok(sizes: Sequence[int]) -> bool:
+    """Whether an evaluation sweep's sizes follow EVAL_SIZES_RULE."""
+    return bool(sizes) and min(sizes) >= 8 and list(sizes) == sorted(sizes)
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
@@ -63,9 +68,7 @@ def evaluate_accuracy(model: MsunModel, ds: Dataset, size: int,
     correct = 0
     with T.no_grad():
         for start in range(0, len(ds), batch):
-            native = ds.images[start:start + batch]
-            x = resize_images(native, size, size)
-            logits = model.forward_infer(x, size)
+            logits = model.forward_infer(ds.images[start:start + batch], size)
             correct += int((logits.data.argmax(axis=1) == ds.labels[start:start + batch]).sum())
     if was_training:
         model.train()
@@ -97,7 +100,7 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
     total_steps = steps_per_epoch * cfg.epochs
     canonical = spec.backbone.canonical_size
     mst_rng = Rng(cfg.seed ^ 0x5CA1E5)
-    lam = cfg.lam if spec.method == "msun" else 0.0
+    lam = cfg.lam if len(model.scales) > 1 else 0.0   # no scale pairs, no SI term
 
     rows: List[str] = []
     timing: List[str] = []   # wall times stay out of the byte-compared train_log.csv
@@ -107,10 +110,8 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
         started = time.perf_counter()
         faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         sums = np.zeros(4)   # total, ce, si, clamped
-        batches = make_multiscale(
-            train_ds,
-            list(spec.scales) if spec.method == "msun" else [canonical],
-            cfg.batch_size, _epoch_seed(cfg.seed, epoch))
+        batches = make_multiscale(train_ds, list(model.scales), cfg.batch_size,
+                                  _epoch_seed(cfg.seed, epoch))
         last_lr = 0.0
         correct = 0
         for batch in prefetch_batches(batches):
@@ -178,10 +179,8 @@ def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> Ev
     model that means upsampling back to its fixed input size).
     """
     sizes = list(sizes)
-    if any(b < a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be sorted ascending")
-    if any(s < 8 for s in sizes):
-        raise ValueError("evaluation sizes must be >= 8")
+    if not eval_sizes_ok(sizes):
+        raise ValueError(f"evaluation sizes {sizes}: need {EVAL_SIZES_RULE}")
     path = None
     if isinstance(model_or_path, MsunModel):
         model = model_or_path

@@ -7,9 +7,9 @@ downsamples proportionally less (smaller kernel, stride 1, pooling dropped)
 so every branch lands on one common feature shape. The remaining blocks and
 the head are shared across branches.
 
-The degenerate settings stay meaningful: a single scale with zero subnet
-blocks is exactly the ordinary fixed-input network, with inputs resized to
-the canonical size by the routing step.
+Every branch runs subnet ``i``, then the shared blocks and head. With zero
+subnet blocks a subnet is one parameterless ``Resize`` to the canonical size;
+with a single scale as well, that is the ordinary fixed-input network.
 """
 
 from __future__ import annotations
@@ -160,6 +160,27 @@ class ResidualBlock:
         return self.conv1.out_size(size)
 
 
+class Resize:
+    """Parameterless block: bilinear resize to ``size``, a no-op at that size."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    def forward(self, x, train, stat_set=-1):
+        if x.shape[2] == self.size and x.shape[3] == self.size:
+            return x
+        return bilinear_resize(x, self.size, self.size)
+
+    def children(self):
+        return []
+
+    def convs(self, size):
+        return []
+
+    def out_size(self, size):
+        return self.size
+
+
 class Stack:
     """Named sequence of blocks with tap capture."""
 
@@ -179,29 +200,28 @@ class Stack:
         return size
 
 
-def _stem(out_ch, downsample, rng, n_stat_sets=1):
-    kernel, stride, pool = STEMS[downsample]
-    return ConvBlock(3, out_ch, kernel, stride, rng, n_stat_sets, pool)
-
-
-def _make_block(kind, in_ch, out_ch, stride, rng, n_stat_sets=1):
-    if kind == "plain":
-        return ConvBlock(in_ch, out_ch, 3, stride, rng, n_stat_sets)
-    return ResidualBlock(in_ch, out_ch, stride, rng, n_stat_sets)
-
-
 def _block_plan(spec: BackboneSpec):
-    """(name, in_ch, out_ch, stride) for every non-stem block, in order."""
-    plan = []
+    """(name, kind, in_ch, out_ch, stride) for every block in order, stem
+    first; the stem's kind is "stem" and its stride is set when it is built."""
+    plan = [("stem", "stem", 3, spec.stage_widths[0], None)]
     prev = spec.stage_widths[0]
-    idx = 1
     for s, (width, count) in enumerate(zip(spec.stage_widths, spec.stage_blocks)):
         for b in range(count):
             stride = 2 if (s > 0 and b == 0) else 1
-            plan.append((f"block{idx}", prev, width, stride))
+            plan.append((f"block{len(plan)}", spec.block_kind, prev, width, stride))
             prev = width
-            idx += 1
     return plan
+
+
+def _build(entry, rng, n_stat_sets=1, downsample=4):
+    """(name, block) for one plan entry; a stem downsamples by ``downsample``."""
+    name, kind, in_ch, out_ch, stride = entry
+    if kind == "stem":
+        kernel, stride, pool = STEMS[downsample]
+        return name, ConvBlock(in_ch, out_ch, kernel, stride, rng, n_stat_sets, pool)
+    if kind == "plain":
+        return name, ConvBlock(in_ch, out_ch, 3, stride, rng, n_stat_sets)
+    return name, ResidualBlock(in_ch, out_ch, stride, rng, n_stat_sets)
 
 
 @dataclass
@@ -241,35 +261,22 @@ class MsunModel:
         self.subnets = []
         for i, size in enumerate(scales):
             if subnet_blocks == 0:
-                self.subnets.append(Stack([]))
+                self.subnets.append(Stack([("resize", Resize(canonical))]))
                 continue
             ds = 4 * size // canonical
             if ds not in STEMS or 4 * size != ds * canonical:
                 raise ValueError(
                     f"no stem adaptation reaches the common feature shape for "
                     f"scale index {i} (size {size}, canonical {canonical})")
-            blocks = [("stem", _stem(spec.stage_widths[0], ds, rng))]
-            for name, in_ch, out_ch, stride in plan[:subnet_blocks - 1]:
-                blocks.append((name, _make_block(spec.block_kind, in_ch, out_ch, stride, rng)))
-            self.subnets.append(Stack(blocks))
-
-        unified_blocks = []
-        if subnet_blocks == 0:
-            unified_blocks.append(("stem", _stem(spec.stage_widths[0], 4, rng, len(scales))))
-        for name, in_ch, out_ch, stride in plan[max(0, subnet_blocks - 1):]:
-            unified_blocks.append((name, _make_block(spec.block_kind, in_ch, out_ch,
-                                                     stride, rng, len(scales))))
-        self.unified = Stack(unified_blocks)
+            self.subnets.append(Stack([_build(e, rng, downsample=ds)
+                                       for e in plan[:subnet_blocks]]))
+        self.unified = Stack([_build(e, rng, len(scales)) for e in plan[subnet_blocks:]])
         self.head = Linear(spec.stage_widths[-1], spec.num_classes, rng)
 
         # the common (channels, h, w) every subnet emits: the first unified
         # block's input
-        if subnet_blocks == 0:
-            shapes = [(3, canonical, canonical)]
-        else:
-            channels = plan[subnet_blocks - 1][1]
-            shapes = [(channels, out, out)
-                      for out in map(Stack.out_size, self.subnets, scales)]
+        shapes = [(plan[subnet_blocks][2], out, out)
+                  for out in map(Stack.out_size, self.subnets, scales)]
         if len(set(shapes)) != 1:
             raise ValueError(f"subnet output shapes differ across scales: {shapes}")
         self.feature_shape = shapes[0]
@@ -314,21 +321,6 @@ class MsunModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _subnet_forward(self, i: int, x: Tensor) -> Tensor:
-        if self.subnet_blocks == 0:
-            canonical = self.spec.canonical_size
-            if x.shape[2] == canonical and x.shape[3] == canonical:
-                return x
-            return bilinear_resize(x, canonical, canonical)
-        return self.subnets[i].forward(x, self.training)
-
-    def _head_forward(self, features: Tensor, taps=None, stat_set=-1):
-        h = self.unified.forward(features, self.training, "unified.", taps, stat_set)
-        pooled = global_avg_pool(h)
-        if taps is not None and "pooled" in taps:
-            taps["pooled"] = pooled
-        return self.head.forward(pooled, self.training)
-
     def forward_branch(self, i: int, x: Tensor, taps=None):
         """Logits and subnet features for branch i on an already-sized input.
 
@@ -338,15 +330,14 @@ class MsunModel:
         if x.shape[2] != self.scales[i] or x.shape[3] != self.scales[i]:
             raise ShapeError(f"branch {i} expects size {self.scales[i]}, "
                              f"got {x.shape[2]}x{x.shape[3]}")
-        feats = self._subnet_forward(i, x)
-        want = self.feature_shape
-        if self.subnet_blocks == 0:   # the resized input: grey data keeps one channel
-            want = feats.shape[1:2] + want[1:]
-        if feats.shape[1:] != want:
-            raise ShapeError(f"subnet {i} produced {feats.shape[1:]}, expected {want}")
+        feats = self.subnets[i].forward(x, self.training)
         if taps is not None and "features" in taps:
             taps["features"] = feats
-        return self._head_forward(feats, taps, stat_set=i), feats
+        h = self.unified.forward(feats, self.training, "unified.", taps, stat_set=i)
+        pooled = global_avg_pool(h)
+        if taps is not None and "pooled" in taps:
+            taps["pooled"] = pooled
+        return self.head.forward(pooled, self.training), feats
 
     def forward_train(self, batch_per_scale: Sequence[Tensor]):
         """All branches on aligned per-scale views of the same samples."""
@@ -363,12 +354,12 @@ class MsunModel:
             features.append(feats)
         return logits, features
 
-    def forward_infer(self, images: np.ndarray, native_size: int, taps=None) -> Tensor:
-        """Route by native size, resize to the branch's quantized scale, run it."""
-        i = route_scale(native_size, self.scales)
-        x = resize_images(images, self.scales[i], self.scales[i])
-        logits, _ = self.forward_branch(i, Tensor(x), taps)
-        return logits
+    def forward_infer(self, images: np.ndarray, size: int, taps=None) -> Tensor:
+        """Present ``images`` at ``size`` (bilinear, a no-op at that size), route
+        by it, resize to the branch's quantized scale and run the branch."""
+        i = route_scale(size, self.scales)
+        x = resize_images(resize_images(images, size, size), self.scales[i], self.scales[i])
+        return self.forward_branch(i, Tensor(x), taps)[0]
 
 
 def build_vanilla(spec: BackboneSpec, rng: Rng) -> MsunModel:

@@ -443,6 +443,54 @@ class TestSizeFlags:
         assert calls == []
 
 
+def _no_work(monkeypatch):
+    """Make rendering a split or training a model fail the test."""
+    def untouched(*args, **kwargs):
+        raise AssertionError("rendered a dataset or trained a model")
+
+    monkeypatch.setattr(cli, "gen_shapes", untouched)
+    monkeypatch.setattr(experiments, "_run_training", untouched)
+
+
+class TestChecksBeforeWork:
+    """Bad sizes and specs exit 2 naming their flag or key, before any render."""
+
+    @pytest.mark.parametrize("value", ["32,16", "4", "4,16"])
+    def test_eval_sizes_flag(self, trained, value, monkeypatch, capsys):
+        _no_work(monkeypatch)
+        code = main(["eval", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                     "--sizes", value, "--config", TINY_CFG])
+        assert code == 2
+        assert "argument --sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["4,16", "32,16", ""])
+    def test_eval_sizes_key(self, value, tmp_path, monkeypatch, capsys):
+        _no_work(monkeypatch)
+        code = main(["ablation", "--B", "0,1", "--S", "1,3",
+                     "--config", _tiny_with(tmp_path, {"eval.sizes": value})])
+        assert code == 2
+        assert "eval.sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("train.epochs", "0", "epochs"), ("model.kind", "dense", "dense"),
+        ("data.scales", "16,8,32", "data.scales"),
+    ])
+    def test_train_spec(self, key, value, named, tmp_path, monkeypatch, capsys):
+        _no_work(monkeypatch)
+        code = main(["train", "--method", "msun", "--config", _tiny_with(tmp_path, {key: value}),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [("train.epochs", "0"), ("model.kind", "dense")])
+    def test_ablation_spec(self, key, value, tmp_path, monkeypatch):
+        _no_work(monkeypatch)
+        code = main(["ablation", "--B", "0,1", "--S", "1,3",
+                     "--config", _tiny_with(tmp_path, {key: value})])
+        assert code == 2
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):

@@ -6,7 +6,7 @@ import pytest
 from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, build_vanilla,
                   route_scale, si_loss, total_loss)
 from msun.analysis import count_params
-from msun.layers import bilinear_resize
+from msun.layers import bilinear_resize, resize_images
 from msun.model import LossBreakdown, _step_with_logits
 from msun.optim import SGD
 from msun.tensor import backward, grad_check, maximum_scalar
@@ -107,12 +107,35 @@ class TestBuildVanilla:
 
 class TestTransform:
     def test_common_feature_shape(self):
-        model = MsunModel(SPEC, SCALES, 1, Rng(0))
-        assert model.feature_shape == (8, 8, 8)
-        model.eval()
-        for i, size in enumerate(SCALES):
-            _, feats = model.forward_branch(i, small_batch(Rng(i), size))
-            assert feats.data.shape[1:] == model.feature_shape
+        assert MsunModel(SPEC, SCALES, 1, Rng(0)).feature_shape == (8, 8, 8)
+        for kind in ("plain", "residual"):
+            spec = BackboneSpec((8, 16), (1, 1), kind, 4, 32)
+            for b in range(spec.total_blocks):
+                model = MsunModel(spec, SCALES, b, Rng(0)).eval()
+                want = model.feature_shape
+                for channels in (1, 3):   # grey data keeps one channel
+                    for i, size in enumerate(SCALES):
+                        x = Tensor(small_batch(Rng(i), size).data[:, :channels])
+                        _, feats = model.forward_branch(i, x)
+                        assert feats.data.shape[2:] == want[1:], (kind, b, channels, i)
+                        if b > 0:
+                            assert feats.data.shape[1] == want[0], (kind, b, channels, i)
+
+    def test_b0_branch_is_vanilla_on_the_resized_input(self):
+        spec = BackboneSpec((8, 16), (1, 1), "plain", 4, 64)
+        scales = ScaleSet([16, 32, 64])
+        for train in (True, False):
+            model = MsunModel(spec, scales, 0, Rng(3))
+            vanilla = build_vanilla(spec, Rng(3))
+            model.training = vanilla.training = train
+            for i, size in enumerate(scales):
+                x = small_batch(Rng(i), size)
+                got, got_feats = model.forward_branch(i, x)
+                want, want_feats = vanilla.forward_branch(0, bilinear_resize(x, 64, 64))
+                assert np.array_equal(got.data, want.data), (train, size)
+                assert np.array_equal(got_feats.data, want_feats.data), (train, size)
+                if size == 64:
+                    assert got_feats is x
 
     def test_b0_degenerates_to_vanilla_params(self):
         assert count_params(MsunModel(SPEC, SCALES, 0, Rng(0))) == \
@@ -223,6 +246,15 @@ class TestForwardInfer:
         monkeypatch.setattr(model, "forward_branch", recording)
         model.forward_infer(small_batch(Rng(1), 13, 2).data, 13)
         assert routed == [1]   # |13-16| = 3 beats |13-8| = 5
+
+    @pytest.mark.parametrize("b", [0, 1])
+    @pytest.mark.parametrize("size", [8, 13, 20, 32])
+    def test_presents_native_images_at_size(self, b, size):
+        model = MsunModel(SPEC, SCALES, b, Rng(0)).eval()
+        native = small_batch(Rng(6), 32).data
+        got = model.forward_infer(native, size)
+        want = model.forward_infer(resize_images(native, size, size), size)
+        assert np.array_equal(got.data, want.data)
 
     def test_agrees_with_train_branch(self):
         model = MsunModel(SPEC, SCALES, 1, Rng(0)).eval()
