@@ -15,6 +15,7 @@ from .experiments import EVAL_SIZES_RULE, eval_sizes_ok
 from .fileio import atomic_write
 from .model import BackboneSpec, ScaleSet
 from .optim import MAX_BASE_LR, TrainConfig
+from .tensor import FieldError
 
 
 class ConfigError(ValueError):
@@ -85,6 +86,27 @@ RULES = {
 }
 
 
+# spec field -> the key it is read from
+BACKBONE_KEYS = {
+    "stage_widths": "model.widths",
+    "stage_blocks": "model.blocks",
+    "block_kind": "model.kind",
+    "num_classes": "data.classes",
+    "canonical_size": "data.native",
+}
+TRAIN_KEYS = {
+    "base_lr": "train.base_lr",
+    "momentum": "train.momentum",
+    "weight_decay": "train.weight_decay",
+    "batch_size": "train.batch_size",
+    "epochs": "train.epochs",
+    "warmup_epochs": "train.warmup_epochs",
+    "lr_floor_fraction": "train.lr_floor_fraction",
+    "lam": "msun.lambda",
+    "seed": "train.seed",
+}
+
+
 class Config:
     def __init__(self, values: Dict[str, object]):
         self.values = values
@@ -99,29 +121,17 @@ class Config:
             raise ConfigError(f"bad value for data.scales: {exc}") from exc
 
     def backbone(self) -> BackboneSpec:
-        return BackboneSpec(
-            stage_widths=self["model.widths"],
-            stage_blocks=self["model.blocks"],
-            block_kind=self["model.kind"],
-            num_classes=self["data.classes"],
-            canonical_size=self["data.native"],
-        )
+        return self._spec(BackboneSpec, BACKBONE_KEYS)
 
     def train_config(self) -> TrainConfig:
+        return self._spec(TrainConfig, TRAIN_KEYS)
+
+    def _spec(self, cls, keys):
+        """``cls`` with each field read from its key; a bad field names its key."""
         try:
-            return TrainConfig(
-                base_lr=self["train.base_lr"],
-                momentum=self["train.momentum"],
-                weight_decay=self["train.weight_decay"],
-                batch_size=self["train.batch_size"],
-                epochs=self["train.epochs"],
-                warmup_epochs=self["train.warmup_epochs"],
-                lr_floor_fraction=self["train.lr_floor_fraction"],
-                lam=self["msun.lambda"],
-                seed=self["train.seed"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            return cls(**{field: self[key] for field, key in keys.items()})
+        except FieldError as exc:
+            raise ConfigError(f"bad value for {keys[exc.field]}: {exc}") from exc
 
     def resolved_text(self) -> str:
         return "".join(f"{k}={_fmt(self.values[k])}\n" for k in sorted(self.values))

@@ -21,7 +21,8 @@ from .analysis import EvalReport, EvalRow, count_flops, count_params, tap_activa
 from .data import Dataset, make_multiscale, prefetch_batches, split_dataset
 from .fileio import atomic_write
 from .layers import Linear, resize_images, softmax_cross_entropy
-from .model import BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla
+from .model import (BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla,
+                    subnet_layout)
 from .optim import SGD, TrainConfig, lr_at
 from .rng import Rng
 from .tensor import NonFiniteError, Tensor
@@ -44,8 +45,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "msun" and len(self.scales) < 2:
-            raise ValueError("msun training requires at least 2 scales")
+        if self.method == "msun":
+            if len(self.scales) < 2:
+                raise ValueError("msun training requires at least 2 scales")
+            subnet_layout(self.backbone, self.scales, self.subnet_blocks)
 
 
 EVAL_SIZES_RULE = "at least one size, each >= 8, in ascending order"
@@ -259,7 +262,7 @@ def ablation_grid(b_values: Sequence[int], s_values: Sequence[int],
                 rows.append(f"{b},{s},,,{exc}")
                 continue
             spec = ExperimentSpec("msun" if s > 1 else "vanilla", backbone,
-                                  train_cfg, scales)
+                                  train_cfg, scales, subnet_blocks=b)
             result = _run_training(spec, model, train_ds, test_ds)
             report = eval_multiscale(result.model, test_ds, eval_sizes)
             rows.append(f"{b},{s},{count_params(result.model)},{report.average:.6f},")

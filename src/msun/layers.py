@@ -10,10 +10,11 @@ with per-offset first-max masks, and batch norm works in place. A
 forward-only pass (``no_grad``, or no input requiring grad) keeps no
 buffer that only a backward reads: conv refills one block of columns for
 every block instead of keeping them all, and batch norm applies its affine
-in place over the normalized input. Grey images stay one channel up to
+in place over the normalized input. Grey images stay one channel through
 the stem: conv reads a one-channel input as that channel repeated across
-the weight's input channels, filling the repeats by copying the gathered
-columns. None of this changes a float operation or its order. Backward
+the weight's input channels, but keeps only the one channel's columns and
+broadcasts each block of them into one block of scratch that the GEMMs
+read. None of this changes a float operation or its order. Backward
 rules skip operands that do not require grad: a stem convolution over raw
 images computes no image gradient, and a linear map over constant features
 none for its input.
@@ -93,10 +94,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     gradient; a forward-only pass refills one block's worth.
 
     A one-channel input against a weight with ``cin > 1`` channels is read
-    as that channel repeated ``cin`` times (a grey image): each block
-    gathers the channel once and copies it into the other channel slots, so
-    the GEMMs see the same columns as for the repeated input. Such an input
-    takes no gradient.
+    as that channel repeated ``cin`` times (a grey image). The column
+    buffer holds the one channel; the forward and weight-gradient GEMMs
+    read each block broadcast into a block-sized ``cin``-channel scratch,
+    so they multiply exactly the repeated input's columns. (A weight
+    gradient from the one channel, repeated after, is not bit-identical:
+    BLAS may round an output column by where it falls in its blocking.)
+    Such an input takes no gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
@@ -113,7 +117,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     xd = x.data
     w2 = weight.data.reshape(m, cin * k * k)
     taped = records((x, weight, bias))
-    cols6 = np.empty((n if taped else min(n, _BLOCK), cin, k, k, ho, wo), dtype=xd.dtype)
+    cols6 = np.empty((n if taped else min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
+    # one block of cin-channel columns for a grey input, empty otherwise; each
+    # pass allocates its own, so the tape does not keep it
+    rep_shape = (min(n, _BLOCK), cin if c < cin else 0, k, k, ho, wo)
+
+    def gemm_cols(blk, rep):
+        """A block of kept columns as both GEMMs read them, ``cin`` channels:
+        a grey block is broadcast into ``rep``."""
+        if c < cin:
+            rep[:len(blk)] = blk
+            blk = rep[:len(blk)]
+        return blk.reshape(len(blk), cin * k * k, ho * wo)
+
+    rep = np.empty(rep_shape, dtype=xd.dtype)
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
     xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
     for a in range(0, n, _BLOCK):
@@ -125,24 +142,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             src[:, :, pad:pad + h, pad:pad + w] = xd[a:b]
         for di in range(k):
             for dj in range(k):
-                blk[:, :c, di, dj] = src[:, :, di:di + ho * stride:stride,
-                                         dj:dj + wo * stride:stride]
-        if c < cin:
-            blk[:, 1:] = blk[:, :1]
-        np.matmul(w2, blk.reshape(b - a, cin * k * k, ho * wo), out=out[a:b])
+                blk[:, :, di, dj] = src[:, :, di:di + ho * stride:stride,
+                                        dj:dj + wo * stride:stride]
+        np.matmul(w2, gemm_cols(blk, rep), out=out[a:b])
         out[a:b] += bias.data[None, :, None]
     x_shape = x.shape
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
-        cols = cols6.reshape(n, cin * k * k, ho * wo)
-        gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        per_sample = np.empty((n, m, cin * k * k), dtype=np.result_type(g3, cols6))
+        rep = np.empty(rep_shape, dtype=cols6.dtype)
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            cols = gemm_cols(cols6[a:b], rep)
+            np.matmul(g3[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
+        gw = per_sample.sum(axis=0).reshape(weight.shape)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(bias.data.dtype)
         if not x.requires_grad:                   # raw images: no input gradient
             return None, gw, gb
         return _conv_input_grad(w2, g.reshape(n, m, ho, wo), x_shape, k, stride, pad), gw, gb
 
     return from_op(out.reshape(n, m, ho, wo), "conv2d", (x, weight, bias), grad_fn)
+
+
+def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
+    """Output side of a ``k`` x ``k`` convolution over a ``size`` side."""
+    out = (size + 2 * pad - k) // stride + 1
+    if out < 1:
+        raise ShapeError(f"conv reduces size {size} below 1 (k={k}, stride={stride}, pad={pad})")
+    return out
 
 
 def _pool_views(x: np.ndarray, window: int, stride: int, ho: int, wo: int):
@@ -383,11 +411,7 @@ class Conv2d:
         return []
 
     def out_size(self, size: int) -> int:
-        out = (size + 2 * self.pad - self.kernel_size) // self.stride + 1
-        if out < 1:
-            raise ShapeError(f"conv reduces size {size} below 1 "
-                             f"(k={self.kernel_size}, stride={self.stride}, pad={self.pad})")
-        return out
+        return conv_out_size(size, self.kernel_size, self.stride, self.pad)
 
 
 class BatchNorm2d:

@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .layers import (BatchNorm2d, Conv2d, Linear, bilinear_resize, global_avg_pool,
-                     maxpool2d, resize_images, softmax_cross_entropy)
+from .layers import (BatchNorm2d, Conv2d, Linear, bilinear_resize, conv_out_size,
+                     global_avg_pool, maxpool2d, resize_images, softmax_cross_entropy)
 from .rng import Rng
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .tensor import FieldError, NonFiniteError, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,20 @@ class BackboneSpec:
     canonical_size: int = 64
 
     def __post_init__(self):
-        if len(self.stage_widths) != len(self.stage_blocks):
-            raise ValueError("stage_widths and stage_blocks lengths differ")
+        if not self.stage_widths or min(self.stage_widths) < 1:
+            raise FieldError("stage_widths", f"stage widths {self.stage_widths} must be "
+                             "one or more positive counts")
+        if len(self.stage_blocks) != len(self.stage_widths) or min(self.stage_blocks) < 1:
+            raise FieldError("stage_blocks", f"stage block counts {self.stage_blocks} must be "
+                             f"positive, one per stage width {self.stage_widths}")
         if self.block_kind not in ("plain", "residual"):
-            raise ValueError(f"unknown block kind {self.block_kind!r}")
-        if min(self.stage_blocks) < 1 or min(self.stage_widths) < 1:
-            raise ValueError("stage widths and block counts must be positive")
+            raise FieldError("block_kind", f"unknown block kind {self.block_kind!r}")
         size = self.canonical_size // 4   # stem downsample
         for i in range(1, len(self.stage_widths)):
             size //= 2
         if size < 1:
-            raise ValueError(f"stage {len(self.stage_widths) - 1} reduces spatial size "
+            raise FieldError("canonical_size",
+                             f"stage {len(self.stage_widths) - 1} reduces spatial size "
                              f"below 1 at canonical input {self.canonical_size}")
 
     @property
@@ -194,11 +197,6 @@ class Stack:
                 taps[prefix + name] = x
         return x
 
-    def out_size(self, size):
-        for _, block in self.blocks:
-            size = block.out_size(size)
-        return size
-
 
 def _block_plan(spec: BackboneSpec):
     """(name, kind, in_ch, out_ch, stride) for every block in order, stem
@@ -239,47 +237,64 @@ class LossBreakdown:
         return float(sum(self.ce_per_scale))
 
 
+def subnet_layout(spec: BackboneSpec, scales: ScaleSet, subnet_blocks: int):
+    """Check that ``subnet_blocks`` subnets at ``scales`` fit ``spec``.
+
+    Returns each subnet's stem downsample factor (none with zero subnet
+    blocks) and the common (channels, h, w) the subnets emit, the first
+    unified block's input. With zero subnet blocks the channel entry is
+    None: a ``Resize`` passes the input's channels through. Raises
+    ValueError naming what does not fit, so a caller can check a layout
+    before it renders data or draws weights.
+    """
+    if subnet_blocks < 0:
+        raise ValueError("subnet block count must be >= 0")
+    if subnet_blocks >= spec.total_blocks:
+        raise ValueError(f"subnet blocks {subnet_blocks} must be fewer than the "
+                         f"backbone's {spec.total_blocks} blocks")
+    canonical = spec.canonical_size
+    if scales[len(scales) - 1] != canonical:
+        raise ValueError(f"largest scale {scales[len(scales) - 1]} must equal the "
+                         f"canonical size {canonical}")
+    if subnet_blocks == 0:
+        return [], (None, canonical, canonical)
+    plan = _block_plan(spec)
+    downsamples, shapes = [], []
+    for i, size in enumerate(scales):
+        ds = 4 * size // canonical
+        if ds not in STEMS or 4 * size != ds * canonical:
+            raise ValueError(
+                f"no stem adaptation reaches the common feature shape for "
+                f"scale index {i} (size {size}, canonical {canonical})")
+        kernel, stride, pool = STEMS[ds]
+        out = conv_out_size(size, kernel, stride, kernel // 2) // (pool or 1)
+        for *_, s in plan[1:subnet_blocks]:   # 3x3 convs, padding 1
+            out = conv_out_size(out, 3, s, 1)
+        downsamples.append(ds)
+        shapes.append((plan[subnet_blocks][2], out, out))
+    if len(set(shapes)) != 1:
+        raise ValueError(f"subnet output shapes differ across scales: {shapes}")
+    return downsamples, shapes[0]
+
+
 class MsunModel:
     """Scale subnets f_1..f_S, shared deep network g, pooled linear head."""
 
     def __init__(self, spec: BackboneSpec, scales: ScaleSet, subnet_blocks: int, rng: Rng):
-        if subnet_blocks < 0:
-            raise ValueError("subnet block count must be >= 0")
-        if subnet_blocks >= spec.total_blocks:
-            raise ValueError(f"subnet blocks {subnet_blocks} must be fewer than the "
-                             f"backbone's {spec.total_blocks} blocks")
-        if scales[len(scales) - 1] != spec.canonical_size:
-            raise ValueError(f"largest scale {scales[len(scales) - 1]} must equal the "
-                             f"canonical size {spec.canonical_size}")
+        downsamples, self.feature_shape = subnet_layout(spec, scales, subnet_blocks)
         self.spec = spec
         self.scales = scales
         self.subnet_blocks = subnet_blocks
         self.training = True
 
         plan = _block_plan(spec)
-        canonical = spec.canonical_size
-        self.subnets = []
-        for i, size in enumerate(scales):
-            if subnet_blocks == 0:
-                self.subnets.append(Stack([("resize", Resize(canonical))]))
-                continue
-            ds = 4 * size // canonical
-            if ds not in STEMS or 4 * size != ds * canonical:
-                raise ValueError(
-                    f"no stem adaptation reaches the common feature shape for "
-                    f"scale index {i} (size {size}, canonical {canonical})")
-            self.subnets.append(Stack([_build(e, rng, downsample=ds)
-                                       for e in plan[:subnet_blocks]]))
+        if subnet_blocks == 0:
+            self.subnets = [Stack([("resize", Resize(spec.canonical_size))]) for _ in scales]
+        else:
+            self.subnets = [Stack([_build(e, rng, downsample=ds) for e in plan[:subnet_blocks]])
+                            for ds in downsamples]
         self.unified = Stack([_build(e, rng, len(scales)) for e in plan[subnet_blocks:]])
         self.head = Linear(spec.stage_widths[-1], spec.num_classes, rng)
-
-        # the common (channels, h, w) every subnet emits: the first unified
-        # block's input
-        shapes = [(plan[subnet_blocks][2], out, out)
-                  for out in map(Stack.out_size, self.subnets, scales)]
-        if len(set(shapes)) != 1:
-            raise ValueError(f"subnet output shapes differ across scales: {shapes}")
-        self.feature_shape = shapes[0]
 
     # -- structure ---------------------------------------------------------
 

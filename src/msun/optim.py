@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor
+from .tensor import FieldError, NonFiniteError, Tensor
 
 
 # Largest accepted base learning rate, 10,000 times the default. A run this
@@ -29,27 +29,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < 1.0:
-            raise ValueError(f"weight decay must be in [0, 1), got {self.weight_decay}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.base_lr <= MAX_BASE_LR:
-            raise ValueError(f"base learning rate must be in (0, {MAX_BASE_LR:g}], "
-                             f"got {self.base_lr}")
-        if not 0.0 <= self.lr_floor_fraction <= 1.0:
-            raise ValueError("learning-rate floor fraction must be in [0, 1], "
-                             f"got {self.lr_floor_fraction}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup epochs must be >= 0, got {self.warmup_epochs}")
-        if self.warmup_epochs > self.epochs:
-            raise ValueError(f"warmup ({self.warmup_epochs} epochs) exceeds "
-                             f"training length ({self.epochs} epochs)")
+        for field, ok, rule in [
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("weight_decay", 0.0 <= self.weight_decay < 1.0, "in [0, 1)"),
+            ("lam", math.isfinite(self.lam) and self.lam >= 0.0, "finite and >= 0"),
+            ("base_lr", 0.0 < self.base_lr <= MAX_BASE_LR, f"in (0, {MAX_BASE_LR:g}]"),
+            ("lr_floor_fraction", 0.0 <= self.lr_floor_fraction <= 1.0, "in [0, 1]"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("warmup_epochs", 0 <= self.warmup_epochs <= self.epochs,
+             f"in [0, epochs] = [0, {self.epochs}]"),
+        ]:
+            if not ok:
+                raise FieldError(field, f"{field} must be {rule}, got {getattr(self, field)!r}")
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:

@@ -58,6 +58,14 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class FieldError(ValueError):
+    """A spec field holds a value outside its range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class NonFiniteError(ArithmeticError):
     """A NaN or infinity appeared where finite values are required."""
 

@@ -471,24 +471,45 @@ class TestChecksBeforeWork:
         assert code == 2
         assert "eval.sizes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value,named", [
-        ("train.epochs", "0", "epochs"), ("model.kind", "dense", "dense"),
-        ("data.scales", "16,8,32", "data.scales"),
-    ])
+    # key, value, and the value as the error quotes it
+    SPEC_CASES = [("train.epochs", "0", "epochs"), ("model.kind", "dense", "dense"),
+                  ("train.warmup_epochs", "3", "warmup_epochs"),
+                  ("model.widths", "6,0", "(6, 0)"), ("model.blocks", "1", "(1,)"),
+                  ("data.native", "4", "canonical input 4")]
+
+    @pytest.mark.parametrize("key,value,named",
+                             SPEC_CASES + [("data.scales", "16,8,32", "data.scales")])
     def test_train_spec(self, key, value, named, tmp_path, monkeypatch, capsys):
         _no_work(monkeypatch)
         code = main(["train", "--method", "msun", "--config", _tiny_with(tmp_path, {key: value}),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"bad value for {key}" in err and named in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key,value", [("train.epochs", "0"), ("model.kind", "dense")])
-    def test_ablation_spec(self, key, value, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("values,named", [
+        ({"model.subnet_blocks": "9"}, "subnet blocks 9"),
+        ({"data.scales": "8,16"}, "largest scale 16"),
+        ({"data.scales": "4,32"}, "scale index 0"),
+    ])
+    def test_train_layout(self, values, named, tmp_path, monkeypatch, capsys):
+        # the msun layout is checked before the splits are rendered or the
+        # resolved config is written
+        _no_work(monkeypatch)
+        code = main(["train", "--method", "msun", "--config", _tiny_with(tmp_path, values),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o" / "resolved-config.txt").exists()
+
+    @pytest.mark.parametrize("key,value", [case[:2] for case in SPEC_CASES])
+    def test_ablation_spec(self, key, value, tmp_path, monkeypatch, capsys):
         _no_work(monkeypatch)
         code = main(["ablation", "--B", "0,1", "--S", "1,3",
                      "--config", _tiny_with(tmp_path, {key: value})])
         assert code == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
 
 
 class TestGenData:

@@ -113,12 +113,14 @@ class TestTransform:
             for b in range(spec.total_blocks):
                 model = MsunModel(spec, SCALES, b, Rng(0)).eval()
                 want = model.feature_shape
+                # a B = 0 subnet passes the input's channels through
+                assert (want[0] is None) == (b == 0), (kind, b)
                 for channels in (1, 3):   # grey data keeps one channel
                     for i, size in enumerate(SCALES):
                         x = Tensor(small_batch(Rng(i), size).data[:, :channels])
                         _, feats = model.forward_branch(i, x)
                         assert feats.data.shape[2:] == want[1:], (kind, b, channels, i)
-                        if b > 0:
+                        if want[0] is not None:
                             assert feats.data.shape[1] == want[0], (kind, b, channels, i)
 
     def test_b0_branch_is_vanilla_on_the_resized_input(self):
