@@ -20,6 +20,9 @@ from .fileio import atomic_write
 from .layers import resize_images
 from .rng import Rng
 
+# noise values per block of a render: 2 MB of float64, 64 samples at 64 px
+_NOISE_BLOCK = 1 << 18
+
 CLASS_NAMES = ("disk", "square", "triangle", "cross", "ring", "bar", "diamond", "checker")
 
 
@@ -105,7 +108,10 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
     ``n_samples``-sample set (all of them by default), bit for bit equal to
     the whole set sliced the same way. Only that range is drawn: parameter
     draws 5*start .. 5*stop, and the matching rows of the noise field, which
-    follows all 5*n_samples parameter draws in the stream.
+    follows all 5*n_samples parameter draws in the stream. The noise is
+    drawn ``_NOISE_BLOCK`` values' worth of samples at a time, so a render
+    holds its float32 images and one block of float64 noise, not the whole
+    field.
     """
     if n_classes > len(CLASS_NAMES):
         raise ValueError(f"at most {len(CLASS_NAMES)} classes, got {n_classes}")
@@ -123,8 +129,9 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
                          f"range of n_samples={n_samples}")
     rng = Rng(seed)
     params = rng.uniform((n_samples, 5), start=start, stop=stop)
-    noise_field = (rng.normal((n_samples, size, size), std=noise, start=start, stop=stop)
-                   if noise else None)
+    block = max(1, _NOISE_BLOCK // (size * size))
+    noise_blocks = (rng.normal_blocks((n_samples, size, size), block, std=noise,
+                                      start=start, stop=stop) if noise else None)
 
     coords = (np.arange(size, dtype=np.float64) + 0.5) / size
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
@@ -146,8 +153,10 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
         # ~1.5px linear anti-alias ramp across the outline
         edge = 1.5 / (size * radius)
         img = bright * np.clip(0.5 - d / edge, 0.0, 1.0)
-        if noise_field is not None:
-            img = img + noise_field[idx]
+        if noise_blocks is not None:
+            if idx % block == 0:
+                noise_block = next(noise_blocks)
+            img = img + noise_block[idx % block]
         images[idx, 0] = np.clip(img, 0.0, 1.0)
     return Dataset(images, labels, list(CLASS_NAMES[:n_classes]), size)
 

@@ -98,7 +98,7 @@ def _write_csv(out_dir: Optional[str], name: str, header: str, rows: List[str]) 
 def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
                   test_ds: Dataset) -> TrainResult:
     cfg = spec.train
-    opt = SGD(model.parameters(), cfg.momentum, cfg.weight_decay)
+    opt = SGD(model.named_params(), cfg.momentum, cfg.weight_decay)
     steps_per_epoch = (len(train_ds) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = steps_per_epoch * cfg.epochs
     canonical = spec.backbone.canonical_size
@@ -132,7 +132,7 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
                 raise NonFiniteError(f"epoch {epoch}: {exc}") from exc
             # running accuracy from the canonical-scale branch, no extra pass
             correct += int((logits[-1].data.argmax(axis=1) == batch.labels).sum())
-            del logits   # free this step's tape before the next forward
+            del logits   # free this step's outputs before the next forward
             sums += (breakdown.total, breakdown.ce_sum, breakdown.si, breakdown.clamped)
             step += 1
         for name, buf in model.named_buffers():   # never checkpoint broken statistics
@@ -215,7 +215,7 @@ def linear_probe(model_or_path, target: Dataset, epochs: int = 10,
                        for ds in (train_ds, test_ds))
     n_classes = len(target.class_names)
     head = Linear(x_train.shape[1], n_classes, Rng(seed))
-    opt = SGD([head.weight, head.bias], momentum=0.9, weight_decay=0.0)
+    opt = SGD([(f"head.{n}", p) for n, p in head.params()], momentum=0.9, weight_decay=0.0)
     order_rng = Rng(seed ^ 0xF00D)
     for epoch in range(epochs):
         perm = order_rng.permutation(len(train_ds))

@@ -15,9 +15,9 @@ the stem: conv reads a one-channel input as that channel repeated across
 the weight's input channels, but keeps only the one channel's columns and
 broadcasts each block of them into one block of scratch that the GEMMs
 read. None of this changes a float operation or its order. Backward
-rules skip operands that do not require grad: a stem convolution over raw
-images computes no image gradient, and a linear map over constant features
-none for its input.
+rules capture the arrays they read, never an input tensor, and skip operands
+that do not require grad: a stem convolution over raw images computes no
+image gradient, and a linear map over constant features none for its input.
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
@@ -36,52 +36,61 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
 
 
-def _conv_input_grad(w2: np.ndarray, g4: np.ndarray, x_shape, k: int, stride: int,
+def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
                      pad: int) -> np.ndarray:
     """Gradient w.r.t. the conv input, accumulated in stride-phase planes.
 
     Padded-grid row ``i`` lives in phase plane ``i % stride`` at row
     ``i // stride``. With ``g`` widened by zeros to the plane width ``wq``,
     the columns of kernel offset (di, dj) for one (sample, channel) land on
-    one contiguous run of their plane, so each offset is a single add of
-    runs. Every element receives its terms in (di, dj) order starting from
-    zero, as a scatter onto the padded grid would; the widened columns only
-    add zeros. The planes are then interleaved back into the input grid.
+    one contiguous run of their plane. The GEMM's rows are ordered
+    (di, dj, c) and each is written into a row as long as a plane, zero past
+    the run; the planes are laid out ``[s, s, c, plane]`` per sample. So one
+    offset's runs for all channels of a sample are one add over
+    ``(c - 1) * plane + run`` elements. Every element receives its terms in
+    (di, dj) order starting from zero, as a scatter onto the padded grid
+    would; the widened columns and the zero tails only add zeros. The
+    weight is read through a transposed view, as in the (c, di, dj) order:
+    BLAS rounds a contiguous operand differently at widths of 32 and up. The
+    planes are then interleaved back into the input grid.
     """
-    n, c, h, w = x_shape
-    m, ho, wo = g4.shape[1], g4.shape[2], g4.shape[3]
+    n, c, h, w_in = x_shape
+    m, _, k, _ = w.shape
+    ho, wo = g4.shape[2], g4.shape[3]
     s = stride
-    hp, wp = h + 2 * pad, w + 2 * pad
+    hp, wp = h + 2 * pad, w_in + 2 * pad
     hq, wq = -(-hp // s), -(-wp // s)
-    run = (ho - 1) * wq + wo
-    dt = np.result_type(w2, g4)
+    plane = hq * wq
+    span = (c - 1) * plane + (ho - 1) * wq + wo
+    wt = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(m, k * k * c).T
+    dt = np.result_type(wt, g4)
     cap = min(n, _BLOCK)
     gwide = np.zeros((cap, m, ho, wq), dtype=g4.dtype)
-    gcols = np.empty((cap, c, k, k, ho * wq), dtype=dt)
-    planes = np.empty((cap, c, s, s, hq * wq), dtype=dt)
+    gcols = np.zeros((cap, k, k, c * plane), dtype=dt)
+    gemm_out = gcols.reshape(cap, k * k * c, plane)[:, :, :ho * wq]
+    planes = np.empty((cap, s, s, c * plane), dtype=dt)
     # input rows r0, r0+s, ... share phase (r0 + pad) % s; they start at
     # plane row (r0 + pad) // s
     phases = [(r0, (r0 + pad) % s, (r0 + pad) // s, len(range(r0, h, s)))
               for r0 in range(min(s, h))]
-    cphases = [(c0, (c0 + pad) % s, (c0 + pad) // s, len(range(c0, w, s)))
-               for c0 in range(min(s, w))]
+    cphases = [(c0, (c0 + pad) % s, (c0 + pad) // s, len(range(c0, w_in, s)))
+               for c0 in range(min(s, w_in))]
     gx = np.empty(x_shape, dtype=dt)
     for a in range(0, n, _BLOCK):
         b = min(a + _BLOCK, n)
         nb = b - a
         gwide[:nb, :, :, :wo] = g4[a:b]
-        np.matmul(w2.T, gwide[:nb].reshape(nb, m, ho * wq),
-                  out=gcols[:nb].reshape(nb, c * k * k, ho * wq))
+        np.matmul(wt, gwide[:nb].reshape(nb, m, ho * wq), out=gemm_out[:nb])
         blk = planes[:nb]
         blk.fill(0)
         for di in range(k):
             for dj in range(k):
                 off = (di // s) * wq + dj // s
-                blk[:, :, di % s, dj % s, off:off + run] += gcols[:nb, :, di, dj, :run]
-        grid = blk.reshape(nb, c, s, s, hq, wq)
+                blk[:, di % s, dj % s, off:off + span] += gcols[:nb, di, dj, :span]
+        grid = blk.reshape(nb, s, s, c, hq, wq)
         for r0, pi, qr, nr in phases:
             for c0, pj, qc, nc in cphases:
-                gx[a:b, :, r0::s, c0::s] = grid[:, :, pi, pj, qr:qr + nr, qc:qc + nc]
+                gx[a:b, :, r0::s, c0::s] = grid[:, pi, pj, :, qr:qr + nr, qc:qc + nc]
     return gx
 
 
@@ -114,8 +123,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if hp < k or wp < k:
         raise ShapeError(f"spatial size {h}x{w} with pad {pad} is smaller than kernel {k}")
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    xd = x.data
-    w2 = weight.data.reshape(m, cin * k * k)
+    xd, wd = x.data, weight.data
+    w2 = wd.reshape(m, cin * k * k)
     taped = records((x, weight, bias))
     cols6 = np.empty((n if taped else min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
     # one block of cin-channel columns for a grey input, empty otherwise; each
@@ -146,7 +155,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
                                         dj:dj + wo * stride:stride]
         np.matmul(w2, gemm_cols(blk, rep), out=out[a:b])
         out[a:b] += bias.data[None, :, None]
-    x_shape = x.shape
+    x_shape, x_grad = x.shape, x.requires_grad
+    w_shape, b_dtype = weight.shape, bias.data.dtype
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
@@ -156,11 +166,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             b = min(a + _BLOCK, n)
             cols = gemm_cols(cols6[a:b], rep)
             np.matmul(g3[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
-        gw = per_sample.sum(axis=0).reshape(weight.shape)
-        gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(bias.data.dtype)
-        if not x.requires_grad:                   # raw images: no input gradient
+        gw = per_sample.sum(axis=0).reshape(w_shape)
+        gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(b_dtype)
+        if not x_grad:                            # raw images: no input gradient
             return None, gw, gb
-        return _conv_input_grad(w2, g.reshape(n, m, ho, wo), x_shape, k, stride, pad), gw, gb
+        return _conv_input_grad(wd, g.reshape(n, m, ho, wo), x_shape, stride, pad), gw, gb
 
     return from_op(out.reshape(n, m, ho, wo), "conv2d", (x, weight, bias), grad_fn)
 
@@ -247,9 +257,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear: {x.shape[1]} features vs weight {weight.shape}")
     xd, wd = x.data, weight.data
     out = xd @ wd.T + bias.data
+    x_grad = x.requires_grad
 
     def grad_fn(g):
-        gx = g @ wd if x.requires_grad else None
+        gx = g @ wd if x_grad else None
         return gx, g.T @ xd, g.sum(axis=0, dtype=np.float64).astype(DTYPE)
 
     return from_op(out, "linear", (x, weight, bias), grad_fn)
@@ -295,7 +306,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         t = g * xhat
         dgamma = t.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
         dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
-        dxhat = g * gamma.data[None, :, None, None]
+        dxhat = g * scale
         if not train:
             dxhat *= inv
             return dxhat, dgamma, dbeta

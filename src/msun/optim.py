@@ -66,21 +66,26 @@ def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
 
 
 class SGD:
-    """Momentum SGD: v <- momentum*v + grad + wd*param; param <- param - lr*v."""
+    """Momentum SGD: v <- momentum*v + grad + wd*param; param <- param - lr*v.
 
-    def __init__(self, params, momentum: float = 0.9, weight_decay: float = 0.0):
-        self.params = list(params)
+    Built from ``(name, tensor)`` pairs, such as ``model.named_params()``, so
+    that a non-finite gradient's error names its parameter.
+    """
+
+    def __init__(self, named_params, momentum: float = 0.9, weight_decay: float = 0.0):
+        self.named_params = list(named_params)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocities = [np.zeros_like(p.data) for p in self.params]
+        self.velocities = [np.zeros_like(p.data) for _, p in self.named_params]
 
     def step(self, lr: float) -> None:
-        for p, v in zip(self.params, self.velocities):
+        for (name, p), v in zip(self.named_params, self.velocities):
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
-                raise NonFiniteError(f"non-finite gradient for parameter of shape {p.data.shape}")
+                raise NonFiniteError(f"non-finite gradient for parameter {name} "
+                                     f"of shape {p.data.shape}")
             v *= self.momentum
             v += g
             if self.weight_decay:

@@ -11,7 +11,8 @@ lets any block of the stream be computed on its own: bulk normals are drawn
 whole-array draws bit for bit. It also lets a bulk draw return only rows
 [start, stop) of its first axis: those rows equal the whole draw sliced the
 same way, the rest is never computed, and the stream still advances past the
-whole draw.
+whole draw. ``normal_blocks`` hands such rows out a block at a time, so a
+caller need not hold the whole draw.
 """
 
 from __future__ import annotations
@@ -100,6 +101,24 @@ class Rng:
         same bits as drawing both ranges whole.
         """
         state, n, a, b, out_shape = self._claim(shape, 2, start, stop)
+        return self._normals(state, n, a, b, mean, std).reshape(out_shape)
+
+    def normal_blocks(self, shape, rows: int, mean: float = 0.0, std: float = 1.0,
+                      start: int = 0, stop: int = None):
+        """Rows [start, stop) of a ``normal`` draw, ``rows`` rows at a time.
+
+        The whole draw is claimed now, as ``normal`` claims it; the returned
+        iterator computes each block of rows (the last may be shorter) when
+        it is taken. The blocks equal ``normal``'s result cut the same way,
+        bit for bit, so a caller holds one block instead of the whole draw.
+        """
+        state, n, a, b, out_shape = self._claim(shape, 2, start, stop)
+        step = max(1, rows * int(np.prod(out_shape[1:])))
+        return (self._normals(state, n, i, min(i + step, b), mean, std)
+                .reshape((-1,) + out_shape[1:]) for i in range(a, b, step))
+
+    def _normals(self, state: int, n: int, a: int, b: int, mean: float, std: float) -> np.ndarray:
+        """Flat outputs [a, b) of the n-output normal draw at ``state``."""
         out = np.empty(b - a, dtype=np.float64)
         for i in range(a, b, _CHUNK):
             j = min(i + _CHUNK, b)
@@ -107,7 +126,7 @@ class Rng:
             u1 = ((self._draws(state, i, j) >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
             u2 = (self._draws(state, n + i, n + j) >> np.uint64(11)).astype(np.float64) * _INV53
             out[i - a:j - a] = mean + std * (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2))
-        return out.reshape(out_shape)
+        return out
 
     def randint(self, n: int) -> int:
         """Integer in [0, n). Modulo bias is negligible for n << 2**64."""

@@ -6,7 +6,11 @@ zero-dim float64 tensors so loss arithmetic never quantizes to float32;
 everything with rank >= 1 is stored float32.
 
 Backward walks the recorded graph once in reverse topological order and
-sums gradients whenever a tensor feeds several consumers.
+sums gradients whenever a tensor feeds several consumers. The tape keeps only
+what a backward rule reads: a node holds its parents' nodes, the leaf
+tensors that require grad and its output dtype, never an input tensor, and
+each rule captures arrays, shapes and flags. Backward frees each node's rule
+and parents once the rule has run, so a graph runs backward once.
 
 Importing this module sets glibc's allocator policy for the process: freed
 heap stays in the process instead of going back to the kernel. A training
@@ -20,6 +24,7 @@ nothing is set.
 from __future__ import annotations
 
 import ctypes
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,21 +76,30 @@ class NonFiniteError(ArithmeticError):
 
 
 class TapeNode:
-    """One recorded operation: op kind, input tensors, backward rule.
+    """One recorded operation: op kind, parents, output dtype, backward rule.
 
+    ``parents`` has one entry per input of the op: the input's own node, the
+    input itself when it is a leaf that requires grad (a parameter), or None
+    for an input that needs no gradient. Input tensors are not kept, so an
+    activation no backward rule reads is freed as soon as its caller drops it.
     ``grad_fn`` maps the gradient w.r.t. the node's output to a tuple of
-    gradients w.r.t. each input (None for inputs that need none).
-    ``conv2d`` and ``linear`` return None for an input whose
-    ``requires_grad`` is false and skip the arithmetic that would have
-    produced its gradient.
+    gradients w.r.t. each input (None for inputs that need none); it captures
+    arrays, shapes and flags, not tensors. ``conv2d`` and ``linear`` return
+    None for an input that does not require grad and skip the arithmetic that
+    would have produced its gradient. ``retained`` is a weak reference to the
+    output tensor once ``Tensor.retain_grad`` asked for its gradient.
+    ``backward`` clears ``grad_fn``, ``parents`` and ``retained`` once the
+    rule has run.
     """
 
-    __slots__ = ("op", "inputs", "grad_fn")
+    __slots__ = ("op", "parents", "dtype", "grad_fn", "retained")
 
-    def __init__(self, op: str, inputs: tuple, grad_fn: Callable):
+    def __init__(self, op: str, parents: tuple, dtype: np.dtype, grad_fn: Callable):
         self.op = op
-        self.inputs = inputs
+        self.parents = parents
+        self.dtype = dtype
         self.grad_fn = grad_fn
+        self.retained = None
 
 
 _grad_enabled = True
@@ -154,14 +168,13 @@ class Tensor:
     steps); everything else treats tensors as values.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "retains_grad")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _coerce(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self.node: Optional[TapeNode] = None
-        self.retains_grad = False
 
     @property
     def shape(self):
@@ -175,12 +188,22 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def dtype(self):
+        return self.data.dtype
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def retain_grad(self) -> "Tensor":
-        """Ask backward to keep this non-leaf tensor's gradient in .grad."""
-        self.retains_grad = True
+        """Ask backward to keep this non-leaf tensor's gradient in .grad.
+
+        The tensor registers itself on its own node, so consumers recorded
+        before the call still route its gradient here. A leaf that requires
+        grad receives its gradient anyway.
+        """
+        if self.node is not None:
+            self.node.retained = weakref.ref(self)
         return self
 
     def zero_grad(self) -> None:
@@ -220,11 +243,18 @@ def from_op(data: np.ndarray, op: str, inputs: tuple, grad_fn: Callable) -> Tens
     out.grad = None
     out.node = None
     out.requires_grad = False
-    out.retains_grad = False
     if records(inputs):
         out.requires_grad = True
-        out.node = TapeNode(op, inputs, grad_fn)
+        out.node = TapeNode(op, tuple(_parent(t) for t in inputs), data.dtype, grad_fn)
     return out
+
+
+def _parent(t: Tensor):
+    """What a node keeps of input ``t``: its node, ``t`` itself when it is a
+    leaf that requires grad, or None."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
 
 
 def _as_operands(a, b, op: str):
@@ -247,23 +277,26 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_operands(a, b, "add")
+    sa, sb = a.shape, b.shape
     return from_op(a.data + b.data, "add", (a, b),
-                   lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
+                   lambda g: (_reduce_to(g, sa), _reduce_to(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_operands(a, b, "sub")
+    sa, sb = a.shape, b.shape
     return from_op(a.data - b.data, "sub", (a, b),
-                   lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape)))
+                   lambda g: (_reduce_to(g, sa), _reduce_to(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_operands(a, b, "mul")
+    ad, bd = a.data, b.data
 
     def grad_fn(g):
-        return (_reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape))
+        return (_reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape))
 
-    return from_op(a.data * b.data, "mul", (a, b), grad_fn)
+    return from_op(ad * bd, "mul", (a, b), grad_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -297,11 +330,12 @@ def maximum_scalar(a: Tensor, floor: float) -> Tensor:
     if a.size != 1:
         raise ShapeError(f"maximum_scalar expects a scalar, got shape {a.shape}")
     floor = float(floor)
-    taken = bool(a.data > floor)
+    ad = a.data
+    taken = bool(ad > floor)
     _note_branch(b"\x01" if taken else b"\x00")
 
     def grad_fn(g):
-        return (g if taken else np.zeros_like(a.data),)
+        return (g if taken else np.zeros_like(ad),)
 
     return from_op(np.asarray(max(float(a.data), floor)), "max_scalar", (a,), grad_fn)
 
@@ -313,45 +347,57 @@ def backward(loss: Tensor) -> None:
     parameters first; a tensor used twice receives the sum of both paths.
     A gradient a ``grad_fn`` still returns for an input that does not
     require grad is dropped here.
+
+    A graph runs backward once: each node's rule and parents are freed as
+    soon as the rule has run, so the buffers of layers already
+    differentiated (conv columns, normalized inputs) are released while the
+    rest of the graph runs. A second backward through a node already run
+    raises ``RuntimeError`` naming its op, before any gradient is written.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    root = _parent(loss)
+    if root is None:
+        return
 
-    # iterative reverse topological order over the recorded graph
-    order: list[Tensor] = []
+    # iterative reverse topological order over the recorded graph, whose
+    # vertices are nodes and the leaf tensors that require grad
+    order: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
-        t, expanded = stack.pop()
+        v, expanded = stack.pop()
         if expanded:
-            order.append(t)
+            order.append(v)
             continue
-        if id(t) in visited:
+        if id(v) in visited:
             continue
-        visited.add(id(t))
-        stack.append((t, True))
-        if t.node is not None:
-            for parent in t.node.inputs:
-                if id(parent) not in visited and parent.requires_grad:
+        visited.add(id(v))
+        stack.append((v, True))
+        if type(v) is TapeNode:
+            if v.grad_fn is None:
+                raise RuntimeError(f"backward through {v.op} a second time: a graph runs "
+                                   "backward once, and the first backward freed its rules")
+            for parent in v.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
     # gradient buffers are borrowed from the grad_fns and only copied once a
     # second consumer needs to accumulate into them
-    grads: dict[int, list] = {id(loss): [np.ones_like(loss.data), True]}
-    for t in reversed(order):
-        entry = grads.pop(id(t), None)
+    grads: dict[int, list] = {id(root): [np.ones_like(loss.data), True]}
+    for v in reversed(order):
+        entry = grads.pop(id(v), None)
         if entry is None:
             continue
         g = entry[0]
-        if t.requires_grad and (t.node is None or t.retains_grad):
-            if t.grad is None:
-                t.grad = g.astype(t.data.dtype, copy=True)
-            else:
-                t.grad += g.astype(t.data.dtype, copy=False)
-        if t.node is None:
+        if type(v) is not TapeNode:
+            _accumulate(v, g)
             continue
-        for parent, pg in zip(t.node.inputs, t.node.grad_fn(g)):
-            if pg is None or not parent.requires_grad:
+        kept = v.retained() if v.retained is not None else None
+        if kept is not None:
+            _accumulate(kept, g)
+        for parent, pg in zip(v.parents, v.grad_fn(g)):
+            if pg is None or parent is None:
                 continue
             key = id(parent)
             cur = grads.get(key)
@@ -360,9 +406,17 @@ def backward(loss: Tensor) -> None:
             elif cur[1]:
                 cur[0] += pg
             else:
-                cur[0] = cur[0].astype(parent.data.dtype, copy=True)
+                cur[0] = cur[0].astype(parent.dtype, copy=True)
                 cur[1] = True
                 cur[0] += pg
+        v.grad_fn = v.parents = v.retained = None
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    if t.grad is None:
+        t.grad = g.astype(t.data.dtype, copy=True)
+    else:
+        t.grad += g.astype(t.data.dtype, copy=False)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3,

@@ -361,8 +361,8 @@ def test_criterion_8_clamp_behavior():
     # lambda huge: parameter trajectories must be bit-identical to pure-CE steps
     model_a = MsunModel(spec, scales, 1, Rng(3)).train()
     model_b = MsunModel(spec, scales, 1, Rng(3)).train()
-    opt_a = SGD(model_a.parameters(), 0.9, 0.0)
-    opt_b = SGD(model_b.parameters(), 0.9, 0.0)
+    opt_a = SGD(model_a.named_params(), 0.9, 0.0)
+    opt_b = SGD(model_b.named_params(), 0.9, 0.0)
     all_clamped = True
     for _ in range(5):
         bd, _ = _step_with_logits(model_a, batches, labels, opt_a, 1e3, 0.05)

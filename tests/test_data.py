@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msun import gen_shapes, load_idx, make_multiscale, save_idx
+from msun import data, gen_shapes, load_idx, make_multiscale, save_idx
 from msun.data import (Dataset, IdxCountMismatchError, IdxMagicError,
                        IdxTruncatedError, prefetch_batches, split_dataset)
 from msun.layers import resize_images
@@ -102,6 +102,30 @@ class TestGenShapesRange:
     def test_rejects_empty_or_outside_range(self, start, stop):
         with pytest.raises(ValueError, match="n_samples=10"):
             gen_shapes(0, 10, 4, 32, start=start, stop=stop)
+
+    @pytest.mark.parametrize("start,stop", [(0, 19), (0, 7), (3, 16), (18, 19)])
+    def test_blocked_noise_equals_whole_draw(self, monkeypatch, start, stop):
+        # 7-sample noise blocks against one block holding the whole draw; 19
+        # samples are not a whole number of blocks
+        size, n = 32, 19
+        whole = gen_shapes(23, n, 6, size, start=start, stop=stop)
+        monkeypatch.setattr(data, "_NOISE_BLOCK", 7 * size * size)
+        blocked = gen_shapes(23, n, 6, size, start=start, stop=stop)
+        assert blocked.images.tobytes() == whole.images.tobytes()
+        assert np.array_equal(blocked.labels, whole.labels)
+
+    def test_render_holds_images_and_one_noise_block(self):
+        # the desk-train split: its whole float64 noise field would be 50 MB
+        n, size = 1536, 64
+        images = n * size * size * 4
+        tracemalloc.start()
+        try:
+            ds = gen_shapes(3, n, 6, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.images.nbytes == images
+        assert peak < images + (16 << 20), f"peak {peak} bytes vs images {images}"
 
     def test_peak_memory_independent_of_set_size(self):
         # 4 samples of a million-sample set: the other 999,996 are never drawn

@@ -121,7 +121,7 @@ FAULT_PROBE = textwrap.dedent("""
     scales = [16, 32, 64]
     model = MsunModel(BackboneSpec((8, 16), (1, 1), "plain", 6, 64),
                       ScaleSet(scales), 1, Rng(0))
-    opt = SGD(model.parameters(), 0.9, 2e-5)
+    opt = SGD(model.named_params(), 0.9, 2e-5)
     batches = list(make_multiscale(gen_shapes(1, 512, 6, 64), scales, 128, 3))
     for i in range(8):
         batch = batches[i % len(batches)]

@@ -68,8 +68,15 @@ class TestConv2d:
                     (8, 16, 16, 8, 3, 1, 1), (8, 16, 16, 16, 3, 2, 1),
                     (5, 11, 9, 4, 3, 3, 2), (4, 7, 6, 3, 1, 2, 0)]
 
+    # widths of 32 and up, where BLAS would round a contiguous operand of the
+    # input-gradient GEMM differently from the transposed view it reads: the
+    # desk's widest blocks, then strides 1-3 and kernels 1-7
+    WIDE_SHAPES = [(32, 8, 8, 32, 3, 1, 1), (32, 16, 16, 64, 3, 2, 1), (64, 8, 8, 64, 3, 1, 1),
+                   (64, 9, 9, 128, 1, 2, 0), (128, 4, 4, 128, 3, 1, 1), (32, 11, 9, 32, 5, 3, 2),
+                   (48, 7, 7, 32, 7, 1, 3)]
+
     @pytest.mark.parametrize("n", [13, 16])     # 13 is not a whole number of blocks
-    @pytest.mark.parametrize("shape", EXACT_SHAPES, ids=str)
+    @pytest.mark.parametrize("shape", EXACT_SHAPES + WIDE_SHAPES, ids=str)
     def test_bit_identical_to_im2col(self, shape, n):
         c, h, w, m, k, stride, pad = shape
         rng = Rng(3000 + h + k + n)
@@ -178,6 +185,26 @@ class TestConv2d:
             tracemalloc.stop()
         assert out.node is not None
         assert kept < full_cols / 2, f"kept {kept} bytes vs columns {full_cols}"
+
+    def test_chain_keeps_only_what_backward_reads(self):
+        # conv -> bn -> relu with the intermediate outputs dropped: the tape
+        # keeps the columns, the normalized input and the ReLU mask, not the
+        # conv, batch-norm or ReLU outputs
+        n, c, size, m, k = 32, 8, 32, 16, 3
+        rng = Rng(37)
+        x = Tensor(randn(rng, (n, c, size, size)))
+        conv, bn = Conv2d(c, m, k, 1, 1, rng), BatchNorm2d(m)
+        cols = n * c * k * k * size * size * 4
+        out_elems = n * m * size * size
+        tracemalloc.start()
+        try:
+            loss = tsum(bn.forward(conv.forward(x, True), True).relu())
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loss.node is not None
+        assert kept < cols + out_elems * (4 + 1) + (1 << 18), \
+            f"kept {kept} bytes vs columns {cols} and {out_elems} outputs"
 
     def test_kernel_larger_than_padded_input(self):
         x = Tensor(np.zeros((1, 1, 2, 2), np.float32))

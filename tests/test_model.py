@@ -1,5 +1,7 @@
 """Multi-scale model core: construction, routing, losses, training step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ class TestForwardTrain:
     def test_gradients_reach_every_parameter(self):
         model = MsunModel(SPEC, SCALES, 1, Rng(0))
         model.train()
-        opt = SGD(model.parameters(), 0.0, 0.0)
+        opt = SGD(model.named_params(), 0.0, 0.0)
         batches = [small_batch(Rng(i + 10), s) for i, s in enumerate(SCALES)]
         _step_with_logits(model, batches, np.array([0, 1, 2, 3]), opt, 0.0, 0.0)
         for name, p in model.named_params():
@@ -335,7 +337,7 @@ class TestTotalLoss:
 class TestTrainingStep:
     def _setup(self, lam=0.1, lr=0.05, momentum=0.9, wd=2e-5):
         model = MsunModel(SPEC, SCALES, 1, Rng(1)).train()
-        opt = SGD(model.parameters(), momentum, wd)
+        opt = SGD(model.named_params(), momentum, wd)
         rng = Rng(8)
         batches = [small_batch(rng, s) for s in SCALES]
         labels = np.array([0, 1, 2, 3])
@@ -390,7 +392,7 @@ class TestConstantStemInputs:
         for needs in (False, True):
             model = MsunModel(spec, scales, 1, Rng(4)).train()
             views = [Tensor(v, requires_grad=needs) for v in images]
-            _step_with_logits(model, views, labels, SGD(model.parameters(), 0.9, 2e-5),
+            _step_with_logits(model, views, labels, SGD(model.named_params(), 0.9, 2e-5),
                               0.1, 0.0)
             grads[needs] = {n: p.grad for n, p in model.named_params()}
             stem_grads[needs] = [v.grad for v in views]
@@ -398,6 +400,31 @@ class TestConstantStemInputs:
         assert all(np.any(g != 0) for g in stem_grads[True])
         for name, g in grads[False].items():
             assert np.array_equal(g, grads[True][name]), name
+
+
+class TestStepMemory:
+    def test_desk_msun_step_keeps_only_what_backward_reads(self):
+        # the desk msun step at batch 128 keeps three branches' tapes at once;
+        # they hold only what a backward rule reads (about 75 MB)
+        spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
+        scales = ScaleSet([16, 32, 64])
+        rng = Rng(12)
+        native = rng.uniform((128, 1, 64, 64)).astype(np.float32)
+        views = [Tensor(resize_images(native, s, s)) for s in scales]
+        labels = np.arange(128) % 6
+        model = MsunModel(spec, scales, 1, Rng(4)).train()
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            logits, feats = model.forward_train(views)
+            loss, _ = total_loss(logits, labels, si_loss(feats), 0.1)
+            forward, _ = tracemalloc.get_traced_memory()
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward <= 80e6, f"{forward / 1e6:.1f} MB live at the end of the forward"
+        assert peak <= 85e6, f"step peak {peak / 1e6:.1f} MB"
 
 
 class TestFullLossGradients:

@@ -62,20 +62,20 @@ class TestTrainConfig:
 class TestSgdStep:
     def test_zero_grad_zero_wd_unchanged(self):
         p = param([1.0, -2.0])
-        opt = SGD([p], momentum=0.9, weight_decay=0.0)
+        opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
         opt.step(0.1)
         assert np.array_equal(p.data, np.asarray([1.0, -2.0], np.float32))
 
     def test_plain_gradient_descent(self):
         p = param([1.0])
         p.grad[:] = 0.25
-        SGD([p], momentum=0.0, weight_decay=0.0).step(1.0)
+        SGD([("p", p)], momentum=0.0, weight_decay=0.0).step(1.0)
         assert p.data[0] == pytest.approx(0.75)
 
     def test_two_momentum_steps_closed_form(self):
         # v1 = g, v2 = 0.9 g + g = 1.9 g; p2 = p0 - lr (g + 1.9 g)
         p = param([0.0])
-        opt = SGD([p], momentum=0.9, weight_decay=0.0)
+        opt = SGD([("p", p)], momentum=0.9, weight_decay=0.0)
         g, lr = 0.5, 0.1
         for _ in range(2):
             p.grad[:] = g
@@ -84,7 +84,7 @@ class TestSgdStep:
 
     def test_weight_decay_enters_velocity(self):
         p = param([2.0])
-        opt = SGD([p], momentum=0.0, weight_decay=0.5)
+        opt = SGD([("p", p)], momentum=0.0, weight_decay=0.5)
         opt.step(1.0)  # v = 0 + 0 + 0.5*2 = 1 -> p = 1
         assert p.data[0] == pytest.approx(1.0)
 
@@ -92,14 +92,22 @@ class TestSgdStep:
         p = param([1.2345])
         p.grad[:] = 3.0
         before = p.data.copy()
-        SGD([p], momentum=0.9, weight_decay=0.1).step(0.0)
+        SGD([("p", p)], momentum=0.9, weight_decay=0.1).step(0.0)
         assert np.array_equal(before, p.data)
 
     def test_nonfinite_grad_aborts(self):
         p = param([1.0])
         p.grad[:] = np.nan
         with pytest.raises(NonFiniteError):
-            SGD([p], 0.9, 0.0).step(0.1)
+            SGD([("p", p)], 0.9, 0.0).step(0.1)
+
+    def test_nonfinite_grad_error_names_the_parameter(self):
+        ok, bad = param([1.0]), param([1.0, 2.0])
+        bad.grad[1] = np.nan
+        opt = SGD([("head.bias", ok), ("unified.block1.conv.weight", bad)], 0.9, 0.0)
+        with pytest.raises(NonFiniteError, match=r"parameter unified\.block1\.conv\.weight "
+                                                 r"of shape \(2,\)"):
+            opt.step(0.1)
 
 
 class TestSchedule:

@@ -1,6 +1,7 @@
 """Tensor/autograd engine tests: primitives, tape mechanics, grad_check."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +105,41 @@ class TestBackward:
         backward(loss)
         assert sorted(calls) == ["a", "b", "c"]
         assert np.array_equal(w.grad, arr(2.0, 2.0))
+
+    def test_second_backward_raises_naming_the_op(self):
+        w = Tensor(arr(1, 2), requires_grad=True)
+        w.zero_grad()
+        h = mul(w, w)
+        loss = tsum(h)
+        backward(loss)
+        first = w.grad.copy()
+        assert loss.node.grad_fn is None and loss.node.parents is None
+        with pytest.raises(RuntimeError, match="backward through sum a second time"):
+            backward(loss)
+        with pytest.raises(RuntimeError, match="backward through mul a second time"):
+            backward(tmean(h))          # a new loss over the already-run mul
+        assert np.array_equal(w.grad, first)
+
+    def test_tape_keeps_no_input_tensor(self):
+        x = Tensor(arr(1, -2, 3), requires_grad=True)
+        h = relu(mul(x, x))
+        dropped = weakref.ref(h)
+        loss = tsum(h)
+        del h
+        assert dropped() is None        # the sum keeps h's node, not h
+        x.zero_grad()
+        backward(loss)
+        assert np.array_equal(x.grad, arr(2, -4, 6))
+
+    def test_retain_grad_after_consumer_recorded(self):
+        x = Tensor(arr(1, 2), requires_grad=True)
+        h = mul(x, x)
+        loss = tsum(mul(h, h))
+        h.retain_grad()                 # after its consumer was recorded
+        x.zero_grad()
+        backward(loss)
+        assert np.array_equal(h.grad, 2 * h.data)
+        assert np.array_equal(x.grad, 4 * x.data ** 3)
 
     def test_deep_chain_and_determinism(self):
         def run():
@@ -257,6 +293,18 @@ class TestRng:
         assert part.shape == (stop - start,) + shape[1:]
         assert np.array_equal(part.view(np.uint64), whole[start:stop].view(np.uint64))
         assert part_rng.next_u64() == whole_rng.next_u64()
+
+    @pytest.mark.parametrize("rows,start,stop", [(2, 0, 5), (3, 1, 5), (1, 2, 4), (7, 0, 5)])
+    def test_blocks_match_whole_draw(self, rows, start, stop):
+        # blocks of ``rows`` rows that do not divide the range, ranged and whole
+        shape = (5, 3, _CHUNK // 4)
+        whole_rng, block_rng = Rng(43), Rng(43)
+        whole = whole_rng.normal(shape, std=0.05)
+        blocks = list(block_rng.normal_blocks(shape, rows, std=0.05, start=start, stop=stop))
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.uint64), whole[start:stop].view(np.uint64))
+        assert block_rng.next_u64() == whole_rng.next_u64()
 
     @pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 6)])
     def test_rows_outside_draw_rejected(self, start, stop):
