@@ -90,8 +90,7 @@ def tap_activations(model: MsunModel, images: np.ndarray, size: int,
 
 
 def layerwise_cka(model: MsunModel, probe_images: np.ndarray, scale_a: int,
-                  scale_b: int, taps: Optional[Sequence[str]] = None,
-                  min_samples: int = CKA_MIN_SAMPLES) -> CkaReport:
+                  scale_b: int, taps: Optional[Sequence[str]] = None) -> CkaReport:
     """CKA between two input scales at every tapped layer, shallow to deep."""
     known = model.tap_names()
     if taps is None:
@@ -101,8 +100,8 @@ def layerwise_cka(model: MsunModel, probe_images: np.ndarray, scale_a: int,
             raise ValueError(f"unknown tap {t!r}; model taps are {known}")
     taps = sorted(taps, key=known.index)
     n = probe_images.shape[0]
-    if n < min_samples:
-        raise ValueError(f"probe set has {n} samples, need at least {min_samples}")
+    if n < CKA_MIN_SAMPLES:
+        raise ValueError(f"probe set has {n} samples, need at least {CKA_MIN_SAMPLES}")
     model.eval()
     acts_a = tap_activations(model, probe_images, scale_a, taps)
     acts_b = tap_activations(model, probe_images, scale_b, taps)
@@ -271,13 +270,14 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
     return GradCamMap(grad_cam_formula(alphas, acts), target_class, alphas, acts)
 
 
-def pca_project(features: np.ndarray, dims: int = 2) -> np.ndarray:
-    """Project onto the top principal directions of the sample covariance.
+def pca_project(features: np.ndarray) -> np.ndarray:
+    """Project onto the top two principal directions of the sample covariance.
 
     Deterministic: each component's sign is fixed so its largest-magnitude
     loading is positive. Rank-deficient inputs warn and zero-fill the
     missing components.
     """
+    dims = 2
     x = np.asarray(features, dtype=np.float64)
     n, d = x.shape
     if n <= dims:

@@ -188,7 +188,7 @@ def cmd_ablation(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for an image size; argparse names the flag on failure."""
+    """argparse type for a size or count; argparse names the flag on failure."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write a procedural shape dataset as IDX")
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--classes", type=int, default=6)
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--classes", type=_positive_int, default=6)
+    p.add_argument("--size", type=_positive_int, default=64)
     p.add_argument("--noise", type=float, default=0.05)
     p.set_defaults(func=cmd_gen_data)
 

@@ -14,7 +14,7 @@ from typing import Dict, Optional
 from .experiments import EVAL_SIZES_RULE, eval_sizes_ok
 from .fileio import atomic_write
 from .model import BackboneSpec, ScaleSet
-from .optim import MAX_BASE_LR, TrainConfig
+from .optim import TrainConfig
 from .tensor import FieldError
 
 
@@ -66,21 +66,12 @@ def _finite_at_least(low):
     return (lambda v: math.isfinite(v) and v >= low), f"finite and >= {low}"
 
 
-_UNIT_INTERVAL = (lambda v: 0.0 <= v < 1.0), "finite and in [0, 1)"
-
-
-# key -> (check, what it requires), applied to every loaded value
+# key -> (check, what it requires), applied to every loaded value; the keys a
+# spec reads are checked by the spec (TRAIN_KEYS at load, BACKBONE_KEYS per command)
 RULES = {
     "data.n_train": _at_least(1),
     "data.n_test": _at_least(1),
     "data.noise": _finite_at_least(0.0),
-    "train.base_lr": ((lambda v: 0.0 < v <= MAX_BASE_LR), f"finite and in (0, {MAX_BASE_LR:g}]"),
-    "train.momentum": _UNIT_INTERVAL,
-    "train.weight_decay": _UNIT_INTERVAL,
-    "train.batch_size": _at_least(1),
-    "train.warmup_epochs": _at_least(0),
-    "train.lr_floor_fraction": ((lambda v: 0.0 <= v <= 1.0), "finite and in [0, 1]"),
-    "msun.lambda": _finite_at_least(0.0),
     "eval.sizes": (eval_sizes_ok, EVAL_SIZES_RULE),
     "cka.probe_samples": _at_least(1),
 }
@@ -188,4 +179,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[Dict[str, str]] 
     for key, (check, what) in RULES.items():
         if not check(values[key]):
             raise ConfigError(f"bad value for {key}: {values[key]!r} (must be {what})")
-    return Config(values)
+    config = Config(values)
+    config.train_config()   # every command rejects a bad train.* value
+    return config

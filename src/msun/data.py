@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
@@ -178,11 +178,11 @@ def _read_exact(buf: bytes, offset: int, n: int, path: str) -> bytes:
     return buf[offset:offset + n]
 
 
-def load_idx(images_path: str, labels_path: str,
-             class_names: Sequence[str] = None) -> Dataset:
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Read an IDX image/label pair into a float dataset.
 
-    Pixels are scaled to [0,1] and kept as one channel, ``[N,1,H,W]``.
+    Pixels are scaled to [0,1] and kept as one channel, ``[N,1,H,W]``. Classes
+    are named ``class0`` up to the largest label.
     """
     with open(images_path, "rb") as fh:
         raw = fh.read()
@@ -210,10 +210,8 @@ def load_idx(images_path: str, labels_path: str,
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
 
     images = (pixels.astype(np.float32) / 255.0)[:, None, :, :]
-    if class_names is None:
-        n_classes = int(labels.max()) + 1 if n else 1
-        class_names = [f"class{i}" for i in range(n_classes)]
-    return Dataset(images, labels, list(class_names), h)
+    n_classes = int(labels.max()) + 1 if n else 1
+    return Dataset(images, labels, [f"class{i}" for i in range(n_classes)], h)
 
 
 def save_idx(ds: Dataset, images_path: str, labels_path: str) -> None:

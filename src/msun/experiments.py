@@ -63,16 +63,15 @@ def _epoch_seed(seed: int, epoch: int) -> int:
     return (seed * 0x9E3779B1 + epoch + 1) & 0xFFFFFFFF
 
 
-def evaluate_accuracy(model: MsunModel, ds: Dataset, size: int,
-                      batch: int = 256) -> float:
+def evaluate_accuracy(model: MsunModel, ds: Dataset, size: int) -> float:
     """Share of correct argmax predictions with inputs presented at ``size``."""
     was_training = model.training
     model.eval()
     correct = 0
     with T.no_grad():
-        for start in range(0, len(ds), batch):
-            logits = model.forward_infer(ds.images[start:start + batch], size)
-            correct += int((logits.data.argmax(axis=1) == ds.labels[start:start + batch]).sum())
+        for start in range(0, len(ds), 256):
+            logits = model.forward_infer(ds.images[start:start + 256], size)
+            correct += int((logits.data.argmax(axis=1) == ds.labels[start:start + 256]).sum())
     if was_training:
         model.train()
     return correct / len(ds)
@@ -202,8 +201,7 @@ def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> Ev
     return EvalReport(rows)
 
 
-def linear_probe(model_or_path, target: Dataset, epochs: int = 10,
-                 seed: int = 0, lr: float = 0.05) -> float:
+def linear_probe(model_or_path, target: Dataset, epochs: int = 10, seed: int = 0) -> float:
     """Retrain only a fresh linear classifier on frozen pooled features."""
     model = model_or_path if isinstance(model_or_path, MsunModel) \
         else ckpt.load_model(model_or_path)
@@ -226,7 +224,7 @@ def linear_probe(model_or_path, target: Dataset, epochs: int = 10,
             logits = head.forward(Tensor(x_train[idx]), train=True)
             loss = softmax_cross_entropy(logits, train_ds.labels[idx])
             T.backward(loss)
-            opt.step(lr)
+            opt.step(0.05)
     with T.no_grad():
         logits = head.forward(Tensor(x_test), train=False)
     acc = float((logits.data.argmax(axis=1) == test_ds.labels).mean())
@@ -242,7 +240,10 @@ ABLATION_HEADER = "B,S,params,avg_acc,skip_reason"
 
 def ablation_scales(canonical: int, n_subnets: int) -> List[int]:
     """Halving ladder ending at the canonical size, one entry per subnet."""
-    return [canonical // (2 ** (n_subnets - 1 - i)) for i in range(n_subnets)]
+    if n_subnets > canonical.bit_length():
+        raise ValueError(f"S = {n_subnets} exceeds the {canonical.bit_length()} sizes "
+                         f"of a halving ladder from {canonical}")
+    return [canonical >> k for k in range(n_subnets - 1, -1, -1)]
 
 
 def ablation_grid(b_values: Sequence[int], s_values: Sequence[int],

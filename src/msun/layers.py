@@ -267,13 +267,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, train: bool, momentum: float = 0.1,
-                eps: float = 1e-5, update_stats: bool = True) -> Tensor:
+                running_var: np.ndarray, train: bool, momentum: float = 0.1) -> Tensor:
     """Channel-wise batch normalization over [N,C,H,W].
 
-    Train mode normalizes with (biased) batch statistics and, unless
-    ``update_stats`` is off, folds them into the running buffers in place;
-    eval mode depends only on the buffers.
+    Train mode normalizes with (biased) batch statistics and folds them into
+    the running buffers in place; eval mode depends only on the buffers.
     """
     n, c, h, w = x.shape
     dt = x.data.dtype
@@ -283,15 +281,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         xc = x.data - mu[None, :, None, None].astype(dt)
         var = np.mean(xc * xc, axis=(0, 2, 3), dtype=np.float64)
-        if update_stats:
-            running_mean *= 1.0 - momentum
-            running_mean += momentum * mu.astype(DTYPE)
-            running_var *= 1.0 - momentum
-            running_var += momentum * var.astype(DTYPE)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.astype(DTYPE)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.astype(DTYPE)
     else:
         var = running_var.astype(np.float64)
         xc = x.data - running_mean[None, :, None, None].astype(dt)
-    inv = (1.0 / np.sqrt(var + eps)).astype(dt)[None, :, None, None]
+    inv = (1.0 / np.sqrt(var + 1e-5)).astype(dt)[None, :, None, None]
     xhat = xc
     xhat *= inv
     scale = gamma.data[None, :, None, None]
@@ -430,18 +427,16 @@ class BatchNorm2d:
     branches of a multi-scale model, one running-statistics set per branch
     (each input distribution tracks its own inference statistics)."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 n_stat_sets: int = 1):
+    def __init__(self, channels: int, momentum: float = 0.1, n_stat_sets: int = 1):
         self.gamma = Tensor(np.ones(channels, dtype=DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=DTYPE), requires_grad=True)
         self.running_means = [np.zeros(channels, dtype=DTYPE) for _ in range(n_stat_sets)]
         self.running_vars = [np.ones(channels, dtype=DTYPE) for _ in range(n_stat_sets)]
         self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor, train: bool, stat_set: int = -1) -> Tensor:
         return batchnorm2d(x, self.gamma, self.beta, self.running_means[stat_set],
-                           self.running_vars[stat_set], train, self.momentum, self.eps)
+                           self.running_vars[stat_set], train, self.momentum)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -45,6 +45,8 @@ class BackboneSpec:
                              f"positive, one per stage width {self.stage_widths}")
         if self.block_kind not in ("plain", "residual"):
             raise FieldError("block_kind", f"unknown block kind {self.block_kind!r}")
+        if self.num_classes < 1:
+            raise FieldError("num_classes", f"need at least one class, got {self.num_classes}")
         size = self.canonical_size // 4   # stem downsample
         for i in range(1, len(self.stage_widths)):
             size //= 2
@@ -58,10 +60,10 @@ class BackboneSpec:
         return 1 + sum(self.stage_blocks)   # stem plus stage blocks
 
 
-class ScaleSet:
+class ScaleSet(tuple):
     """Ordered quantized input sizes R_1 < ... < R_S with nearest routing."""
 
-    def __init__(self, sizes: Sequence[int]):
+    def __new__(cls, sizes: Sequence[int]):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 1:
             raise ValueError("at least one scale required")
@@ -69,22 +71,7 @@ class ScaleSet:
             raise ValueError(f"scales must be strictly increasing, got {sizes}")
         if sizes[0] < 1:
             raise ValueError("scales must be positive")
-        self.sizes = sizes
-
-    def __len__(self):
-        return len(self.sizes)
-
-    def __iter__(self):
-        return iter(self.sizes)
-
-    def __getitem__(self, i):
-        return self.sizes[i]
-
-    def __eq__(self, other):
-        return isinstance(other, ScaleSet) and self.sizes == other.sizes
-
-    def __repr__(self):
-        return f"ScaleSet{self.sizes}"
+        return super().__new__(cls, sizes)
 
 
 def route_scale(input_size: int, scales: ScaleSet) -> int:

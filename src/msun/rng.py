@@ -60,7 +60,7 @@ class Rng:
         self._state = (state + n * _GOLDEN) & _MASK
         return self._draws(state, 0, n)
 
-    def _claim(self, shape, per_output: int, start: int, stop):
+    def _claim(self, shape, per_output: int, start: int = 0, stop: int = None):
         """Advance past a whole draw of ``shape``, ``per_output`` draws per output.
 
         Returns the state before the draw, its output count n, the flat
@@ -77,35 +77,31 @@ class Rng:
         row = n // shape[0] if shape[0] else 0
         return state, n, start * row, stop * row, (stop - start,) + shape[1:]
 
-    def uniform(self, shape=None, low: float = 0.0, high: float = 1.0,
-                start: int = 0, stop: int = None):
-        """Floats in [low, high); scalar when shape is None.
+    def uniform(self, shape=None, start: int = 0, stop: int = None):
+        """Floats in [0, 1); scalar when shape is None.
 
         ``start``/``stop`` return rows [start, stop) of the first axis only.
         """
         if shape is None:
-            u = (self.next_u64() >> 11) * _INV53
-            return low + (high - low) * u
+            return (self.next_u64() >> 11) * _INV53
         state, _, a, b, out_shape = self._claim(shape, 1, start, stop)
         u = (self._draws(state, a, b) >> np.uint64(11)).astype(np.float64) * _INV53
-        return (low + (high - low) * u).reshape(out_shape)
+        return u.reshape(out_shape)
 
-    def normal(self, shape, mean: float = 0.0, std: float = 1.0,
-               start: int = 0, stop: int = None) -> np.ndarray:
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         """Gaussian draws via Box-Muller (two uniforms per output, no rejection).
 
         Output i of an n-output draw pairs draw i of the stream with draw
-        n + i. The requested outputs (rows [start, stop) of the first axis;
-        all of them by default) are filled ``_CHUNK`` entries at a time, each
+        n + i. The outputs are filled ``_CHUNK`` entries at a time, each
         block computing its own slice of both draw ranges, which gives the
         same bits as drawing both ranges whole.
         """
-        state, n, a, b, out_shape = self._claim(shape, 2, start, stop)
-        return self._normals(state, n, a, b, mean, std).reshape(out_shape)
+        state, n, _, _, out_shape = self._claim(shape, 2)
+        return self._normals(state, n, 0, n, mean, std).reshape(out_shape)
 
-    def normal_blocks(self, shape, rows: int, mean: float = 0.0, std: float = 1.0,
-                      start: int = 0, stop: int = None):
-        """Rows [start, stop) of a ``normal`` draw, ``rows`` rows at a time.
+    def normal_blocks(self, shape, rows: int, std: float = 1.0, start: int = 0,
+                      stop: int = None):
+        """Rows [start, stop) of a zero-mean ``normal`` draw, ``rows`` rows at a time.
 
         The whole draw is claimed now, as ``normal`` claims it; the returned
         iterator computes each block of rows (the last may be shorter) when
@@ -114,7 +110,7 @@ class Rng:
         """
         state, n, a, b, out_shape = self._claim(shape, 2, start, stop)
         step = max(1, rows * int(np.prod(out_shape[1:])))
-        return (self._normals(state, n, i, min(i + step, b), mean, std)
+        return (self._normals(state, n, i, min(i + step, b), 0.0, std)
                 .reshape((-1,) + out_shape[1:]) for i in range(a, b, step))
 
     def _normals(self, state: int, n: int, a: int, b: int, mean: float, std: float) -> np.ndarray:

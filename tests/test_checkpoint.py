@@ -112,6 +112,15 @@ class TestModelRoundtrip:
             load_model(path)
         assert "head.bias" in str(exc.value)
 
+    def test_zero_classes_rejected_before_building(self, tmp_path):
+        path = str(tmp_path / "m.msun")
+        model = MsunModel(SPEC, ScaleSet([16, 32]), 1, Rng(0))
+        state = model_state(model)
+        state["meta.num_classes"] = np.asarray([0.0], np.float32)
+        save_snapshot(path, state, list(model.scales))
+        with pytest.raises(SnapshotError, match="need at least one class"):
+            load_model(path)
+
     @pytest.mark.parametrize("defect", ["block_kind_7", "nan_num_classes",
                                         "reversed_scales", "huge_width"])
     def test_bad_metadata_is_a_format_error(self, tmp_path, capsys, defect):

@@ -475,7 +475,8 @@ class TestChecksBeforeWork:
     SPEC_CASES = [("train.epochs", "0", "epochs"), ("model.kind", "dense", "dense"),
                   ("train.warmup_epochs", "3", "warmup_epochs"),
                   ("model.widths", "6,0", "(6, 0)"), ("model.blocks", "1", "(1,)"),
-                  ("data.native", "4", "canonical input 4")]
+                  ("data.native", "4", "canonical input 4"),
+                  ("data.classes", "0", "at least one class")]
 
     @pytest.mark.parametrize("key,value,named",
                              SPEC_CASES + [("data.scales", "16,8,32", "data.scales")])
@@ -511,6 +512,19 @@ class TestChecksBeforeWork:
         assert code == 2
         assert f"bad value for {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["eval", "--sizes", "16,32"], ["cka", "--scales", "8,32"],
+                                      ["gradcam", "--class", "1"], ["pca"]])
+    @pytest.mark.parametrize("key,value", [("train.momentum", "1"),
+                                           ("train.warmup_epochs", "3")])
+    def test_analysis_train_key(self, trained, args, key, value, tmp_path, monkeypatch,
+                                capsys):
+        # every command loads the training settings too, and rejects them by key
+        _no_work(monkeypatch)
+        code = main(args + ["--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                            "--config", _tiny_with(tmp_path, {key: value})])
+        assert code == 2
+        assert f"bad value for {key}" in capsys.readouterr().err
+
 
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -520,6 +534,15 @@ class TestGenData:
             assert code == 0
         assert (tmp_path / "a-images.idx").read_bytes() == (tmp_path / "b-images.idx").read_bytes()
         assert (tmp_path / "a-labels.idx").read_bytes() == (tmp_path / "b-labels.idx").read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--classes", "0"),
+                                            ("--size", "0"), ("--samples", "-5"),
+                                            ("--size", "x")])
+    def test_non_positive_count_exits_2_naming_the_flag(self, flag, value, tmp_path, capsys):
+        code = main(["gen-data", "--out", str(tmp_path / "d"), flag, value])
+        assert code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "d-images.idx").exists()
 
     def test_nan_noise_exits_2(self, tmp_path, capsys):
         code = main(["gen-data", "--out", str(tmp_path / "d"), "--samples", "5",

@@ -251,6 +251,12 @@ class TestAblation:
     def test_scale_ladder(self):
         assert ablation_scales(32, 3) == [8, 16, 32]
         assert ablation_scales(64, 2) == [32, 64]
+        assert ablation_scales(48, 6) == [1, 3, 6, 12, 24, 48]
+        # past size 1 the error is one line, raised before any ladder is built
+        for s in (7, 100_000):
+            with pytest.raises(ValueError, match=f"S = {s} exceeds the 6 sizes") as exc:
+                ablation_scales(32, s)
+            assert len(str(exc.value)) < 80
 
     def test_empty_grid_rejected(self, data):
         with pytest.raises(ValueError):
