@@ -14,12 +14,12 @@ from typing import Optional
 from . import checkpoint as ckpt
 from .analysis import (CKA_MIN_SAMPLES, count_flops, grad_cam, layerwise_cka, pca_project,
                        tap_activations)
-from .config import Config, ConfigError, load_config
+from .config import SHAPES_KEYS, Config, ConfigError, load_config
 from .data import IdxFormatError, gen_shapes, load_idx, save_idx
 from .experiments import (ABLATION_HEADER, EVAL_SIZES_RULE, ExperimentSpec, ablation_grid,
                           eval_multiscale, eval_sizes_ok, run_experiment)
 from .fileio import atomic_write
-from .tensor import NonFiniteError
+from .tensor import FieldError, NonFiniteError
 
 
 def _datasets(cfg: Config, *splits: str, rows=None):
@@ -47,8 +47,12 @@ def _datasets(cfg: Config, *splits: str, rows=None):
     for s in splits:
         n = cfg[f"data.n_{s}"]
         start, stop = (0, n) if rows is None else rows(n)
-        rendered.append(gen_shapes(seeds[s], n, cfg["data.classes"], cfg["data.native"],
-                                   cfg["data.noise"], start=start, stop=stop))
+        try:
+            rendered.append(gen_shapes(seeds[s], n, cfg["data.classes"], cfg["data.native"],
+                                       cfg["data.noise"], start=start, stop=stop))
+        except FieldError as exc:
+            key = SHAPES_KEYS[exc.field].format(split=s)
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
     return tuple(rendered)
 
 
@@ -169,8 +173,16 @@ def cmd_pca(args) -> int:
     return 0
 
 
+# gen_shapes parameter -> the gen-data flag it is read from
+GEN_DATA_FLAGS = {"n_classes": "--classes", "size": "--size", "n_samples": "--samples",
+                  "noise": "--noise"}
+
+
 def cmd_gen_data(args) -> int:
-    ds = gen_shapes(args.seed, args.samples, args.classes, args.size, args.noise)
+    try:
+        ds = gen_shapes(args.seed, args.samples, args.classes, args.size, args.noise)
+    except FieldError as exc:
+        raise ConfigError(f"argument {GEN_DATA_FLAGS[exc.field]}: {exc}") from exc
     images_path = args.out + "-images.idx"
     labels_path = args.out + "-labels.idx"
     save_idx(ds, images_path, labels_path)

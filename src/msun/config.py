@@ -85,6 +85,13 @@ BACKBONE_KEYS = {
     "num_classes": "data.classes",
     "canonical_size": "data.native",
 }
+# gen_shapes parameter -> the key a shapes split reads it from
+SHAPES_KEYS = {
+    "n_classes": "data.classes",
+    "size": "data.native",
+    "noise": "data.noise",
+    "n_samples": "data.n_{split}",
+}
 TRAIN_KEYS = {
     "base_lr": "train.base_lr",
     "momentum": "train.momentum",

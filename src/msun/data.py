@@ -19,6 +19,7 @@ import numpy as np
 from .fileio import atomic_write
 from .layers import resize_images
 from .rng import Rng
+from .tensor import FieldError
 
 # noise values per block of a render: 2 MB of float64, 64 samples at 64 px
 _NOISE_BLOCK = 1 << 18
@@ -114,15 +115,15 @@ def gen_shapes(seed: int, n_samples: int, n_classes: int, size: int,
     field.
     """
     if n_classes > len(CLASS_NAMES):
-        raise ValueError(f"at most {len(CLASS_NAMES)} classes, got {n_classes}")
+        raise FieldError("n_classes", f"at most {len(CLASS_NAMES)} classes, got {n_classes}")
     if n_classes < 1:
-        raise ValueError("need at least one class")
+        raise FieldError("n_classes", f"need at least one class, got {n_classes}")
     if size < 16:
-        raise ValueError(f"native size must be >= 16, got {size}")
+        raise FieldError("size", f"native size must be >= 16, got {size}")
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+        raise FieldError("n_samples", f"n_samples must be >= 1, got {n_samples}")
     if not (math.isfinite(noise) and noise >= 0.0):
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+        raise FieldError("noise", f"noise must be finite and >= 0, got {noise}")
     stop = n_samples if stop is None else stop
     if not 0 <= start < stop <= n_samples:
         raise ValueError(f"samples [start={start}, stop={stop}) not a non-empty "

@@ -6,18 +6,20 @@ loss reductions. The window kernels work a few samples or one strided view
 at a time so that each pass over memory is a long contiguous run that stays
 in cache: conv im2col and GEMM are blocked by samples, the conv input
 gradient is summed in stride-phase planes, max-pool is a running maximum
-with per-offset first-max masks, and batch norm works in place. A
-forward-only pass (``no_grad``, or no input requiring grad) keeps no
-buffer that only a backward reads: conv refills one block of columns for
-every block instead of keeping them all, and batch norm applies its affine
-in place over the normalized input. Grey images stay one channel through
-the stem: conv reads a one-channel input as that channel repeated across
-the weight's input channels, but keeps only the one channel's columns and
-broadcasts each block of them into one block of scratch that the GEMMs
-read. None of this changes a float operation or its order. Backward
-rules capture the arrays they read, never an input tensor, and skip operands
-that do not require grad: a stem convolution over raw images computes no
-image gradient, and a linear map over constant features none for its input.
+with per-offset first-max masks, and batch norm works in place. No conv
+pass keeps its im2col columns: the backward rule keeps the input array and
+refills one block of columns at a time for the weight gradient, so taped and
+forward-only passes run one path. A forward-only pass (``no_grad``, or no
+input requiring grad) keeps no buffer that only a backward reads: max-pool
+builds no masks, and batch norm applies its affine in place over the
+normalized input. Grey images stay one channel through the stem: conv reads
+a one-channel input as that channel repeated across the weight's input
+channels, fills only the one channel's columns and broadcasts them, an
+L2-sized piece at a time, into the scratch the GEMMs read. None of this
+changes a float operation or its order. Backward rules capture the arrays
+they read, never an input tensor, and skip operands that do not require
+grad: a stem convolution over raw images computes no image gradient, and a
+linear map over constant features none for its input.
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor as _tape
 from .rng import Rng
@@ -34,6 +37,9 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
+# bytes of cin-channel GEMM operand a grey block is broadcast into at a time,
+# so that each piece stays in L2
+_PIECE_BYTES = 1 << 20
 
 
 def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
@@ -97,19 +103,21 @@ def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation with zero padding; bias added per output channel.
 
-    The im2col columns are filled ``_BLOCK`` samples at a time and each
-    block's per-sample GEMMs run while it is still in cache. When a tape
-    node is recorded the whole column buffer is kept for the weight
-    gradient; a forward-only pass refills one block's worth.
+    The im2col columns are filled ``_BLOCK`` samples at a time, by one copy
+    from a window view of the (padded) block, and each block's per-sample
+    GEMMs run while it is still in cache. No column buffer outlives a pass:
+    the backward rule keeps the input array and refills each block's columns
+    with the forward's own fill right before that block's weight-gradient
+    GEMM, so taped and forward-only passes run one path.
 
     A one-channel input against a weight with ``cin > 1`` channels is read
-    as that channel repeated ``cin`` times (a grey image). The column
-    buffer holds the one channel; the forward and weight-gradient GEMMs
-    read each block broadcast into a block-sized ``cin``-channel scratch,
-    so they multiply exactly the repeated input's columns. (A weight
-    gradient from the one channel, repeated after, is not bit-identical:
-    BLAS may round an output column by where it falls in its blocking.)
-    Such an input takes no gradient.
+    as that channel repeated ``cin`` times (a grey image). The columns hold
+    the one channel; both GEMMs read them broadcast into ``cin``-channel
+    scratch, a piece of at most ``_PIECE_BYTES`` at a time, so they multiply
+    exactly the repeated input's columns. (A weight gradient from the one
+    channel, repeated after, is not bit-identical: BLAS may round an output
+    column by where it falls in its blocking.) Such an input takes no
+    gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
@@ -125,46 +133,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xd, wd = x.data, weight.data
     w2 = wd.reshape(m, cin * k * k)
-    taped = records((x, weight, bias))
-    cols6 = np.empty((n if taped else min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
-    # one block of cin-channel columns for a grey input, empty otherwise; each
-    # pass allocates its own, so the tape does not keep it
-    rep_shape = (min(n, _BLOCK), cin if c < cin else 0, k, k, ho, wo)
+    grey = c < cin
+    piece = max(1, _PIECE_BYTES // (cin * k * k * ho * wo * xd.itemsize)) if grey else _BLOCK
 
-    def gemm_cols(blk, rep):
-        """A block of kept columns as both GEMMs read them, ``cin`` channels:
-        a grey block is broadcast into ``rep``."""
-        if c < cin:
-            rep[:len(blk)] = blk
-            blk = rep[:len(blk)]
-        return blk.reshape(len(blk), cin * k * k, ho * wo)
+    def operands():
+        """Yield ``(a, b, cols)``: samples [a, b)'s columns as both GEMMs read
+        them, ``[b - a, cin * k * k, ho * wo]``; a grey piece is broadcast."""
+        cols = np.empty((min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
+        rep = np.empty((min(n, piece), cin, k, k, ho, wo), dtype=xd.dtype) if grey else None
+        xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
+        for a in range(0, n, _BLOCK):
+            nb = min(a + _BLOCK, n) - a
+            src = xd[a:a + nb]
+            if pad:
+                src = xp[:nb]
+                src[:, :, pad:pad + h, pad:pad + w] = xd[a:a + nb]
+            s0, s1, s2, s3 = src.strides
+            np.copyto(cols[:nb], as_strided(src, (nb, c, k, k, ho, wo),
+                                            (s0, s1, s2, s3, s2 * stride, s3 * stride),
+                                            writeable=False))
+            for i in range(0, nb, piece):
+                j = min(i + piece, nb)
+                blk = cols[i:j]
+                if grey:
+                    blk = rep[:j - i]
+                    blk[...] = cols[i:j]
+                yield a + i, a + j, blk.reshape(j - i, cin * k * k, ho * wo)
 
-    rep = np.empty(rep_shape, dtype=xd.dtype)
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
-    xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
-        blk = cols6[a:b] if taped else cols6[:b - a]
-        src = xd[a:b]
-        if pad:
-            src = xp[:b - a]
-            src[:, :, pad:pad + h, pad:pad + w] = xd[a:b]
-        for di in range(k):
-            for dj in range(k):
-                blk[:, :, di, dj] = src[:, :, di:di + ho * stride:stride,
-                                        dj:dj + wo * stride:stride]
-        np.matmul(w2, gemm_cols(blk, rep), out=out[a:b])
+    for a, b, cols in operands():
+        np.matmul(w2, cols, out=out[a:b])
         out[a:b] += bias.data[None, :, None]
     x_shape, x_grad = x.shape, x.requires_grad
     w_shape, b_dtype = weight.shape, bias.data.dtype
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
-        per_sample = np.empty((n, m, cin * k * k), dtype=np.result_type(g3, cols6))
-        rep = np.empty(rep_shape, dtype=cols6.dtype)
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
-            cols = gemm_cols(cols6[a:b], rep)
+        per_sample = np.empty((n, m, cin * k * k), dtype=np.result_type(g3, xd))
+        for a, b, cols in operands():
             np.matmul(g3[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
         gw = per_sample.sum(axis=0).reshape(w_shape)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(b_dtype)
@@ -206,9 +212,10 @@ def maxpool2d(x: Tensor, window: int, stride: Optional[int] = None) -> Tensor:
     """Per-window maximum; gradient routes to the first (lowest flat index) argmax.
 
     The forward is a running maximum over the window offsets' strided views.
-    The backward marks each window's first maximum with one mask per offset
-    and adds ``g * mask`` into that offset's view of the input gradient, so
-    disjoint and overlapping windows share one path.
+    A recorded node marks each window's first maximum with one mask per
+    offset, and its rule keeps those masks, not the input; the backward adds
+    ``g * mask`` into that offset's view of the input gradient, so disjoint
+    and overlapping windows share one path.
     """
     stride = window if stride is None else stride
     n, c, h, w = x.shape
@@ -219,13 +226,15 @@ def maxpool2d(x: Tensor, window: int, stride: Optional[int] = None) -> Tensor:
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(v, out, out=out)   # a tie keeps ``out``: the first max, even for +-0
+    # built only when a rule or the branch record reads them
+    masks = (_pool_masks(views, out)
+             if records((x,)) or _tape._branch_sink is not None else None)
     if _tape._branch_sink is not None:
-        arg = sum(o * mask for o, mask in enumerate(_pool_masks(views, out)))
+        arg = sum(o * mask for o, mask in enumerate(masks))
         _note_branch(arg.astype(np.uint8).tobytes())
 
     def grad_fn(g):
         gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        masks = _pool_masks(views, out)      # built here: no_grad passes skip them
         # offsets in reverse: an input element shared by overlapping windows
         # then gets its terms in row-major window order
         for view, mask in zip(reversed(_pool_views(gx, window, stride, ho, wo)),

@@ -12,13 +12,21 @@ tensors that require grad and its output dtype, never an input tensor, and
 each rule captures arrays, shapes and flags. Backward frees each node's rule
 and parents once the rule has run, so a graph runs backward once.
 
+A rule may read an op's input arrays when backward runs: conv keeps its
+input, not its im2col columns, and rebuilds the columns for the weight
+gradient. So nothing may write into an op's input array between the
+forward and its backward, and no op writes into an array it did not
+allocate; such a write would silently corrupt the gradients. The in-place
+writes that remain are batch norm's running statistics, which no rule
+reads, and the optimizer's parameter update, which runs after the backward.
+
 Importing this module sets glibc's allocator policy for the process: freed
 heap stays in the process instead of going back to the kernel. A training
-step allocates and frees a few hundred MB of transient arrays (im2col
-columns, batch-norm temporaries, gradient buffers); by default glibc maps the
-large ones fresh and returns them when freed, so every step faults the same
-pages in again (about 5,000 minor faults per desk ``msun`` step). Off glibc
-nothing is set.
+step allocates and frees a few hundred MB of transient arrays (batch-norm
+temporaries, gradient buffers, blocks of im2col columns); by default glibc
+maps the large ones fresh and returns them when freed, so every step faults
+the same pages in again (about 5,000 minor faults per desk ``msun`` step).
+Off glibc nothing is set.
 """
 
 from __future__ import annotations
@@ -231,8 +239,9 @@ class Tensor:
 
 def records(inputs) -> bool:
     """Whether an op over ``inputs`` records a tape node: gradients are on
-    and some input requires grad. Buffers that only a backward reads (conv
-    columns, the normalized batch-norm input) are kept only when it holds."""
+    and some input requires grad. Buffers that only a backward reads (max-pool
+    masks, the normalized batch-norm input) are built or kept only when it
+    holds."""
     return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
@@ -350,7 +359,7 @@ def backward(loss: Tensor) -> None:
 
     A graph runs backward once: each node's rule and parents are freed as
     soon as the rule has run, so the buffers of layers already
-    differentiated (conv columns, normalized inputs) are released while the
+    differentiated (conv inputs, normalized inputs) are released while the
     rest of the graph runs. A second backward through a node already run
     raises ``RuntimeError`` naming its op, before any gradient is written.
     """

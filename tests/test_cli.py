@@ -10,7 +10,7 @@ import pytest
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
-from msun import cli, config, experiments
+from msun import cli, config, data, experiments
 from msun.cli import main
 from msun.data import gen_shapes, load_idx
 
@@ -452,6 +452,19 @@ def _no_work(monkeypatch):
     monkeypatch.setattr(experiments, "_run_training", untouched)
 
 
+def _no_draws(monkeypatch):
+    """Make the renderer's first random draw fail the test."""
+    def untouched(*args, **kwargs):
+        raise AssertionError("drew a dataset")
+
+    monkeypatch.setattr(data, "Rng", untouched)
+
+
+# the renderer's limits: key or flag, value, and the error it names
+RENDER_CASES = [("data.native", "--size", "8", "native size must be >= 16, got 8"),
+                ("data.classes", "--classes", "9", "at most 8 classes, got 9")]
+
+
 class TestChecksBeforeWork:
     """Bad sizes and specs exit 2 naming their flag or key, before any render."""
 
@@ -526,6 +539,31 @@ class TestChecksBeforeWork:
         assert f"bad value for {key}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("args", [["eval", "--sizes", "16,32"], ["cka", "--scales", "8,32"],
+                                      ["gradcam", "--class", "1"], ["pca"]])
+    @pytest.mark.parametrize("key,value,named", [(k, v, n) for k, _, v, n in RENDER_CASES])
+    def test_analysis_render_key(self, trained, args, key, value, named, tmp_path,
+                                 monkeypatch, capsys):
+        # the renderer checks its own limits; the error names the config key
+        _no_draws(monkeypatch)
+        code = main(args + ["--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                            "--config", _tiny_with(tmp_path, {key: value})])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {key}: {named}" in err
+
+    @pytest.mark.parametrize("cmd", [["train", "--method", "msun"], ["ablation", "--B", "0,1",
+                                                                      "--S", "1,3"]])
+    def test_class_cap_names_the_key(self, cmd, tmp_path, monkeypatch, capsys):
+        # IDX data may have more classes, so the cap is the renderer's, not the spec's
+        _no_draws(monkeypatch)
+        code = main(cmd + ["--config", _tiny_with(tmp_path, {"data.classes": "9"}),
+                           "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "bad value for data.classes: at most 8 classes, got 9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -542,6 +580,15 @@ class TestGenData:
         code = main(["gen-data", "--out", str(tmp_path / "d"), flag, value])
         assert code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "d-images.idx").exists()
+
+    @pytest.mark.parametrize("flag,value,named", [case[1:] for case in RENDER_CASES])
+    def test_renderer_limit_exits_2_naming_the_flag(self, flag, value, named, tmp_path,
+                                                    monkeypatch, capsys):
+        _no_draws(monkeypatch)
+        code = main(["gen-data", "--out", str(tmp_path / "d"), flag, value])
+        assert code == 2
+        assert f"argument {flag}: {named}" in capsys.readouterr().err
         assert not (tmp_path / "d-images.idx").exists()
 
     def test_nan_noise_exits_2(self, tmp_path, capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from msun import Rng, ShapeError, Tensor, grad_check
-from msun.layers import (BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
-                         conv2d, global_avg_pool, linear, maxpool2d, resize_images,
-                         softmax_cross_entropy)
+from msun.layers import (_BLOCK, _PIECE_BYTES, BatchNorm2d, Conv2d, Linear, batchnorm2d,
+                         bilinear_resize, conv2d, global_avg_pool, linear, maxpool2d,
+                         resize_images, softmax_cross_entropy)
 from msun.tensor import backward, mul, no_grad, record_branches, relu, tsum
 
 import oracles
@@ -94,7 +94,7 @@ class TestConv2d:
     def test_one_channel_reads_as_repeated(self, shape, n):
         # a grey image against a 3-channel stem: the output and the weight and
         # bias gradients equal those of the repeated image, though only the
-        # grey channel's columns are kept; widths 8 (desk) and 6 (tiny), as
+        # grey channel's columns are filled; widths 8 (desk) and 6 (tiny), as
         # BLAS may round a width that is not a multiple of 4 differently
         c, h, w, _, k, stride, pad = shape
         rng = Rng(3200 + h + k + n)
@@ -167,16 +167,21 @@ class TestConv2d:
         assert out.shape == (n, m, ho, ho)
         assert peak < full_cols / 4, f"peak {peak} bytes vs columns {full_cols}"
 
-    def test_grey_taped_keeps_one_channel_of_columns(self):
-        # the 64 px stem at the desk batch of 128: its cin-channel im2col
-        # buffer is 39.3 MB, two thirds of it copies of the grey channel
-        n, c, size, m, k, stride, pad = 128, 3, 64, 8, 5, 2, 2
+    @pytest.mark.parametrize("shape", [(1, 3, 64, 8, 5, 2, 2), (8, 8, 16, 8, 3, 1, 1)],
+                             ids=["grey-stem64", "unified.block1"])
+    def test_taped_keeps_no_columns(self, shape):
+        # at the desk batch of 128, the grey 64 px stem's one-channel columns
+        # are 13.1 MB and unified.block1's columns 9.4 MB; past the forward, a
+        # taped conv holds no more than its output and one block of scratch
+        c, cin, size, m, k, stride, pad = shape
+        n = 128
         rng = Rng(36)
-        x = Tensor(rng.uniform((n, 1, size, size)).astype(np.float32))
-        wt = Tensor(randn(rng, (m, c, k, k), 0.3), requires_grad=True)
+        x = Tensor(rng.uniform((n, c, size, size)).astype(np.float32))
+        wt = Tensor(randn(rng, (m, cin, k, k), 0.3), requires_grad=True)
         b = Tensor(randn(rng, (m,)), requires_grad=True)
         ho = (size + 2 * pad - k) // stride + 1
-        full_cols = n * c * k * k * ho * ho * 4
+        out_bytes = n * m * ho * ho * 4
+        block = _BLOCK * cin * k * k * ho * ho * 4
         tracemalloc.start()
         try:
             out = conv2d(x, wt, b, stride, pad)
@@ -184,17 +189,45 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert out.node is not None
-        assert kept < full_cols / 2, f"kept {kept} bytes vs columns {full_cols}"
+        assert kept <= out_bytes + block, \
+            f"kept {kept} bytes vs output {out_bytes} and one block {block}"
+
+    # (input channels, weight channels, size, out channels, kernel, stride,
+    # pad): the grey 64 px stem, whose GEMM operand is broadcast in pieces of
+    # 3 samples, and unified.block1
+    REBUILD_SHAPES = [(1, 3, 64, 8, 5, 2, 2), (8, 8, 16, 8, 3, 1, 1)]
+
+    @pytest.mark.parametrize("n", [1, 13, 128])
+    @pytest.mark.parametrize("shape", REBUILD_SHAPES, ids=["grey-stem64", "unified.block1"])
+    def test_weight_grad_rebuilt_at_backward_equals_im2col(self, shape, n):
+        # the columns are rebuilt from the kept input when backward runs; at
+        # n = 13 the grey stem's last block of 5 samples ends in a short piece
+        c, cin, size, m, k, stride, pad = shape
+        ho = (size + 2 * pad - k) // stride + 1
+        piece = max(1, _PIECE_BYTES // (cin * k * k * ho * ho * 4)) if c < cin else _BLOCK
+        if c < cin and n == 13:
+            assert (n % _BLOCK) % piece, "no short grey piece at this sample count"
+        rng = Rng(3300 + size + n)
+        x = randn(rng, (n, c, size, size))
+        wt, b = randn(rng, (m, cin, k, k), 0.3), randn(rng, (m,))
+        xt = Tensor(x, requires_grad=c == cin)
+        wt_t, b_t = Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True)
+        g = randn(rng, (n, m, ho, ho))
+        backward(tsum(mul(conv2d(xt, wt_t, b_t, stride, pad), Tensor(g))))
+        want = oracles.conv2d_im2col(np.repeat(x, cin // c, axis=1), wt, b, g, stride, pad)
+        assert wt_t.grad.dtype == want[2].dtype and np.array_equal(wt_t.grad, want[2])
+        assert np.array_equal(b_t.grad, want[3])
+        if c == cin:
+            assert np.array_equal(xt.grad, want[1])
 
     def test_chain_keeps_only_what_backward_reads(self):
         # conv -> bn -> relu with the intermediate outputs dropped: the tape
-        # keeps the columns, the normalized input and the ReLU mask, not the
-        # conv, batch-norm or ReLU outputs
+        # keeps the normalized input and the ReLU mask, not the conv columns
+        # or the conv, batch-norm or ReLU outputs
         n, c, size, m, k = 32, 8, 32, 16, 3
         rng = Rng(37)
         x = Tensor(randn(rng, (n, c, size, size)))
         conv, bn = Conv2d(c, m, k, 1, 1, rng), BatchNorm2d(m)
-        cols = n * c * k * k * size * size * 4
         out_elems = n * m * size * size
         tracemalloc.start()
         try:
@@ -203,8 +236,8 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert loss.node is not None
-        assert kept < cols + out_elems * (4 + 1) + (1 << 18), \
-            f"kept {kept} bytes vs columns {cols} and {out_elems} outputs"
+        assert kept < out_elems * (4 + 1) + (1 << 18), \
+            f"kept {kept} bytes vs {out_elems} outputs"
 
     def test_kernel_larger_than_padded_input(self):
         x = Tensor(np.zeros((1, 1, 2, 2), np.float32))
@@ -292,6 +325,34 @@ class TestMaxPool:
         (gx,) = out.node.grad_fn(g)
         want = oracles.maxpool2d_backward_loops(x, g, window, stride)
         assert gx.dtype == want.dtype and np.array_equal(gx, want)
+
+    def test_taped_keeps_masks_not_input(self):
+        # the desk 64 px stem's ReLU output, [128, 8, 32, 32], is 4.2 MB; a
+        # taped pool keeps its four masks, one byte per input element, and a
+        # forward-only pool builds none
+        n, c, size = 128, 8, 32
+        elems = n * c * size * size
+        rng = Rng(14)
+        x = Tensor(randn(rng, (n, c, size, size)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = maxpool2d(relu(x), 2, 2)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.node is not None
+        # the ReLU mask, the pool masks and the pooled output
+        assert kept < 3 * elems + (1 << 16), f"kept {kept} bytes vs {elems} inputs"
+        h = relu(x).data
+        tracemalloc.start()
+        try:
+            with no_grad():
+                free = maxpool2d(Tensor(h), 2, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(free.data, out.data)
+        assert peak < elems + (1 << 16), f"peak {peak} bytes vs output {elems}"
 
     def test_overlapping_gradient_sum_preserved(self):
         rng = Rng(13)

@@ -1,5 +1,7 @@
 """Multi-scale model core: construction, routing, losses, training step."""
 
+import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,10 @@ import pytest
 
 from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, build_vanilla,
                   route_scale, si_loss, total_loss)
+from msun import layers
 from msun.analysis import count_params
+from msun.config import load_config
+from msun.data import gen_shapes, make_multiscale
 from msun.layers import bilinear_resize, resize_images
 from msun.model import LossBreakdown, _step_with_logits
 from msun.optim import SGD
@@ -15,6 +20,7 @@ from msun.tensor import backward, grad_check, maximum_scalar
 
 import oracles
 
+TINY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.cfg")
 SPEC = BackboneSpec((8, 16), (1, 1), "plain", 4, 32)
 SCALES = ScaleSet([8, 16, 32])
 
@@ -402,17 +408,21 @@ class TestConstantStemInputs:
             assert np.array_equal(g, grads[True][name]), name
 
 
+def _desk_step_inputs():
+    """The desk msun model at batch 128 and one batch of its grey views."""
+    spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
+    scales = ScaleSet([16, 32, 64])
+    native = Rng(12).uniform((128, 1, 64, 64)).astype(np.float32)
+    views = [Tensor(resize_images(native, s, s)) for s in scales]
+    return MsunModel(spec, scales, 1, Rng(4)).train(), views, np.arange(128) % 6
+
+
 class TestStepMemory:
     def test_desk_msun_step_keeps_only_what_backward_reads(self):
         # the desk msun step at batch 128 keeps three branches' tapes at once;
-        # they hold only what a backward rule reads (about 75 MB)
-        spec = BackboneSpec((8, 16), (1, 1), "plain", 6, 64)
-        scales = ScaleSet([16, 32, 64])
-        rng = Rng(12)
-        native = rng.uniform((128, 1, 64, 64)).astype(np.float32)
-        views = [Tensor(resize_images(native, s, s)) for s in scales]
-        labels = np.arange(128) % 6
-        model = MsunModel(spec, scales, 1, Rng(4)).train()
+        # they hold only what a backward rule reads, no conv columns (about
+        # 24 MB at the end of the forward, a 30 MB peak)
+        model, views, labels = _desk_step_inputs()
         model.zero_grad()
         tracemalloc.start()
         try:
@@ -423,8 +433,45 @@ class TestStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert forward <= 80e6, f"{forward / 1e6:.1f} MB live at the end of the forward"
-        assert peak <= 85e6, f"step peak {peak / 1e6:.1f} MB"
+        assert forward <= 40e6, f"{forward / 1e6:.1f} MB live at the end of the forward"
+        assert peak <= 45e6, f"step peak {peak / 1e6:.1f} MB"
+
+
+class TestConvInputsUnchanged:
+    """Conv's backward rule rebuilds its columns from the input array, so no
+    op may write into a conv input between the forward and the backward."""
+
+    @staticmethod
+    def _step_leaves_conv_inputs(monkeypatch, model, views, labels):
+        seen = []
+        conv2d = layers.conv2d
+
+        def hashing(x, *args, **kwargs):
+            seen.append((x.data, hashlib.sha256(x.data.tobytes()).hexdigest()))
+            return conv2d(x, *args, **kwargs)
+
+        monkeypatch.setattr(layers, "conv2d", hashing)
+        model.zero_grad()
+        logits, feats = model.forward_train(views)
+        loss, _ = total_loss(logits, labels, si_loss(feats), 0.1)
+        backward(loss)
+        assert seen and all(p.grad is not None for p in model.parameters())
+        for i, (data, digest) in enumerate(seen):
+            assert hashlib.sha256(data.tobytes()).hexdigest() == digest, f"conv call {i}"
+
+    def test_desk_msun_step(self, monkeypatch):
+        self._step_leaves_conv_inputs(monkeypatch, *_desk_step_inputs())
+
+    def test_tiny_residual_step(self, monkeypatch):
+        cfg = load_config(TINY_CFG, {"model.kind": "residual"})
+        train = cfg.train_config()
+        ds = gen_shapes(train.seed, cfg["data.n_train"], cfg["data.classes"],
+                        cfg["data.native"])
+        batch = next(make_multiscale(ds, cfg.scales(), train.batch_size, train.seed))
+        model = MsunModel(cfg.backbone(), cfg.scales(), cfg["model.subnet_blocks"],
+                          Rng(train.seed)).train()
+        self._step_leaves_conv_inputs(monkeypatch, model, [Tensor(v) for v in batch.images],
+                                      batch.labels)
 
 
 class TestFullLossGradients:
