@@ -56,6 +56,20 @@ def _datasets(cfg: Config, *splits: str, rows=None):
     return tuple(rendered)
 
 
+def _training_splits(cfg: Config):
+    """The train and test splits, with every IDX label below ``data.classes``:
+    the model has that many outputs, and a label past them would otherwise
+    fail the first step's loss, after the run's artifacts are written."""
+    splits = _datasets(cfg, "train", "test")
+    if cfg["data.kind"] == "idx":
+        for split, ds in zip(("train", "test"), splits):
+            top = int(ds.labels.max())
+            if top >= cfg["data.classes"]:
+                raise ConfigError(f"data.classes = {cfg['data.classes']}, but "
+                                  f"{cfg[f'data.idx_{split}_labels']} holds label {top}")
+    return splits
+
+
 def _require_file(path: str, what: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"{what} not found: {path}")
@@ -86,7 +100,7 @@ def cmd_train(args) -> int:
                               out_dir=out_dir)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    train_ds, test_ds = _datasets(cfg, "train", "test")   # only once the spec holds
+    train_ds, test_ds = _training_splits(cfg)   # only once the spec holds
     cfg.write_resolved(out_dir)
     result = run_experiment(spec, train_ds, test_ds)
     print(f"wrote {result.checkpoint_path} (final test accuracy "
@@ -193,7 +207,7 @@ def cmd_gen_data(args) -> int:
 def cmd_ablation(args) -> int:
     cfg = _load_cfg(args)
     backbone, train_cfg = cfg.backbone(), cfg.train_config()   # fail before rendering
-    train_ds, test_ds = _datasets(cfg, "train", "test")
+    train_ds, test_ds = _training_splits(cfg)
     rows = ablation_grid(args.B, args.S, backbone, train_cfg, train_ds, test_ds, cfg["eval.sizes"])
     _emit(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
     return 0

@@ -43,6 +43,10 @@ class IdxCountMismatchError(IdxFormatError):
     pass
 
 
+class IdxEmptyError(IdxFormatError):
+    pass
+
+
 @dataclass
 class Dataset:
     images: np.ndarray          # [N,1,H,W] float32 in [0,1]: grey, one channel
@@ -191,6 +195,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     if magic != _IMAGES_MAGIC:
         raise IdxMagicError(f"{images_path}: magic {magic:#010x}, "
                             f"expected {_IMAGES_MAGIC:#010x}")
+    if not n * h * w:
+        raise IdxEmptyError(f"{images_path}: holds no images ({n} of {h}x{w} pixels)")
     payload = _read_exact(raw, 16, n * h * w, images_path)
     if len(raw) != 16 + n * h * w:
         raise IdxTruncatedError(f"{images_path}: {len(raw) - 16 - n * h * w} trailing bytes")
@@ -211,7 +217,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
 
     images = (pixels.astype(np.float32) / 255.0)[:, None, :, :]
-    n_classes = int(labels.max()) + 1 if n else 1
+    n_classes = int(labels.max()) + 1
     return Dataset(images, labels, [f"class{i}" for i in range(n_classes)], h)
 
 

@@ -12,14 +12,15 @@ refills one block of columns at a time for the weight gradient, so taped and
 forward-only passes run one path. A forward-only pass (``no_grad``, or no
 input requiring grad) keeps no buffer that only a backward reads: max-pool
 builds no masks, and batch norm applies its affine in place over the
-normalized input. Grey images stay one channel through the stem: conv reads
-a one-channel input as that channel repeated across the weight's input
-channels, fills only the one channel's columns and broadcasts them, an
-L2-sized piece at a time, into the scratch the GEMMs read. None of this
-changes a float operation or its order. Backward rules capture the arrays
-they read, never an input tensor, and skip operands that do not require
-grad: a stem convolution over raw images computes no image gradient, and a
-linear map over constant features none for its input.
+normalized input. None of this changes a float operation or its order.
+Grey images stay one channel through the stem: conv reads a one-channel
+input as that channel repeated across the weight's input channels, by
+convolving the one channel with the weight summed over them. That is exact
+in real arithmetic but rounds differently from the repeated input's GEMMs.
+Backward rules capture the arrays they read, never an input tensor, and skip
+operands that do not require grad: a stem convolution over raw images
+computes no image gradient, and a linear map over constant features none for
+its input.
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """
@@ -37,9 +38,6 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
-# bytes of cin-channel GEMM operand a grey block is broadcast into at a time,
-# so that each piece stays in L2
-_PIECE_BYTES = 1 << 20
 
 
 def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
@@ -111,13 +109,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     GEMM, so taped and forward-only passes run one path.
 
     A one-channel input against a weight with ``cin > 1`` channels is read
-    as that channel repeated ``cin`` times (a grey image). The columns hold
-    the one channel; both GEMMs read them broadcast into ``cin``-channel
-    scratch, a piece of at most ``_PIECE_BYTES`` at a time, so they multiply
-    exactly the repeated input's columns. (A weight gradient from the one
-    channel, repeated after, is not bit-identical: BLAS may round an output
-    column by where it falls in its blocking.) Such an input takes no
-    gradient.
+    as that channel repeated ``cin`` times (a grey image). Since
+    ``sum_c w_c * x = (sum_c w_c) * x``, it is convolved with the weight
+    summed over its input channels, and both GEMMs read the one channel's
+    columns (K = k*k, not cin*k*k). The weight gradient is the one-channel
+    gradient repeated across ``cin``. This is exact in real arithmetic, not
+    bit for bit: the repeated input's GEMMs round in another order. Such an
+    input takes no gradient.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects [N,C,H,W] input, got {x.shape}")
@@ -132,15 +130,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         raise ShapeError(f"spatial size {h}x{w} with pad {pad} is smaller than kernel {k}")
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xd, wd = x.data, weight.data
-    w2 = wd.reshape(m, cin * k * k)
-    grey = c < cin
-    piece = max(1, _PIECE_BYTES // (cin * k * k * ho * wo * xd.itemsize)) if grey else _BLOCK
+    w2 = (wd.sum(axis=1) if c < cin else wd).reshape(m, c * k * k)
 
     def operands():
-        """Yield ``(a, b, cols)``: samples [a, b)'s columns as both GEMMs read
-        them, ``[b - a, cin * k * k, ho * wo]``; a grey piece is broadcast."""
+        """Yield ``(a, b, cols)``: samples [a, b)'s columns, ``[b - a, c * k * k, ho * wo]``."""
         cols = np.empty((min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
-        rep = np.empty((min(n, piece), cin, k, k, ho, wo), dtype=xd.dtype) if grey else None
         xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
         for a in range(0, n, _BLOCK):
             nb = min(a + _BLOCK, n) - a
@@ -152,27 +146,23 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
             np.copyto(cols[:nb], as_strided(src, (nb, c, k, k, ho, wo),
                                             (s0, s1, s2, s3, s2 * stride, s3 * stride),
                                             writeable=False))
-            for i in range(0, nb, piece):
-                j = min(i + piece, nb)
-                blk = cols[i:j]
-                if grey:
-                    blk = rep[:j - i]
-                    blk[...] = cols[i:j]
-                yield a + i, a + j, blk.reshape(j - i, cin * k * k, ho * wo)
+            yield a, a + nb, cols[:nb].reshape(nb, c * k * k, ho * wo)
 
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
     for a, b, cols in operands():
         np.matmul(w2, cols, out=out[a:b])
         out[a:b] += bias.data[None, :, None]
     x_shape, x_grad = x.shape, x.requires_grad
-    w_shape, b_dtype = weight.shape, bias.data.dtype
+    b_dtype = bias.data.dtype
 
     def grad_fn(g):
         g3 = g.reshape(n, m, ho * wo)
-        per_sample = np.empty((n, m, cin * k * k), dtype=np.result_type(g3, xd))
+        per_sample = np.empty((n, m, c * k * k), dtype=np.result_type(g3, xd))
         for a, b, cols in operands():
             np.matmul(g3[a:b], cols.transpose(0, 2, 1), out=per_sample[a:b])
-        gw = per_sample.sum(axis=0).reshape(w_shape)
+        gw = per_sample.sum(axis=0).reshape(m, c, k, k)
+        if c < cin:                               # the summed weight's gradient, per channel
+            gw = np.repeat(gw, cin, axis=1)
         gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(b_dtype)
         if not x_grad:                            # raw images: no input gradient
             return None, gw, gb

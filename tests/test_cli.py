@@ -123,6 +123,16 @@ def _tiny_with(tmp_path, values):
     return str(cfg)
 
 
+def _idx_cfg(tmp_path, prefix, extra=""):
+    """A one-epoch config reading both splits from the IDX pair at ``prefix``."""
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text("data.kind = idx\n"
+                   + "".join(f"data.idx_{s}_{part} = {prefix}-{part}.idx\n"
+                             for s in ("train", "test") for part in ("images", "labels"))
+                   + "train.epochs = 1\ntrain.warmup_epochs = 0\n" + extra)
+    return str(cfg)
+
+
 def _fuzz_cases():
     """Every key of tiny.cfg, plus the ``train.*`` float keys it leaves at their defaults."""
     keys = [line.split("=")[0].strip() for line in _tiny_lines() if "=" in line.split("#")[0]]
@@ -563,6 +573,21 @@ class TestChecksBeforeWork:
         assert "bad value for data.classes: at most 8 classes, got 9" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_idx_label_past_classes_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        prefix = str(tmp_path / "d")
+        assert main(["gen-data", "--out", prefix, "--seed", "3", "--samples", "40",
+                     "--classes", "4", "--size", "16"]) == 0
+        capsys.readouterr()
+        _no_work(monkeypatch)
+        assert load_idx(prefix + "-images.idx", prefix + "-labels.idx").labels.max() == 3
+        cfg = _idx_cfg(tmp_path, prefix, "data.classes = 2\ndata.scales = 8,16\n")
+        for argv in (["train", "--method", "vanilla", "--out", str(tmp_path / "o")],
+                     ["ablation", "--B", "1", "--S", "2", "--out", str(tmp_path / "a.csv")]):
+            assert main(argv + ["--config", cfg]) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert "data.classes" in err and prefix + "-labels.idx" in err, argv[0]
+        assert not (tmp_path / "o").exists() and not (tmp_path / "a.csv").exists()
+
 
 class TestGenData:
     def test_same_seed_byte_identical(self, tmp_path):
@@ -622,6 +647,21 @@ train.warmup_epochs = 0
         code = main(["train", "--method", "vanilla", "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 4
+
+    def test_zero_image_idx_exits_4_naming_file(self, trained, tmp_path, capsys):
+        prefix = str(tmp_path / "e")
+        with open(prefix + "-images.idx", "wb") as fh:
+            fh.write(b"\x00\x00\x08\x03" + (0).to_bytes(4, "big") + (28).to_bytes(4, "big") * 2)
+        with open(prefix + "-labels.idx", "wb") as fh:
+            fh.write(b"\x00\x00\x08\x01" + (0).to_bytes(4, "big"))
+        cfg = _idx_cfg(tmp_path, prefix)
+        for argv in (["train", "--method", "vanilla", "--out", str(tmp_path / "o")],
+                     ["eval", "--checkpoint", os.path.join(trained, "checkpoint.msun"),
+                      "--sizes", "16"]):
+            assert main(argv + ["--config", cfg]) == 4, argv[0]
+            err = capsys.readouterr().err
+            assert "holds no images" in err and prefix + "-images.idx" in err, argv[0]
+        assert not (tmp_path / "o").exists()
 
 
 class TestHostileFiles:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msun import data, gen_shapes, load_idx, make_multiscale, save_idx
-from msun.data import (Dataset, IdxCountMismatchError, IdxMagicError,
+from msun.data import (Dataset, IdxCountMismatchError, IdxEmptyError, IdxMagicError,
                        IdxTruncatedError, prefetch_batches, split_dataset)
 from msun.layers import resize_images
 from msun.rng import _CHUNK
@@ -200,6 +200,16 @@ class TestIdx:
                            + (2).to_bytes(4, "big") + (2).to_bytes(4, "big") + bytes(4))
         labels.write_bytes(b"\x00\x00\x08\x01" + (2).to_bytes(4, "big") + bytes(2))
         with pytest.raises(IdxCountMismatchError):
+            load_idx(str(images), str(labels))
+
+    @pytest.mark.parametrize("n,h,w", [(0, 28, 28), (2, 0, 4)])
+    def test_no_images_names_the_file(self, tmp_path, n, h, w):
+        images = tmp_path / "img.idx"
+        labels = tmp_path / "lab.idx"
+        images.write_bytes(b"\x00\x00\x08\x03" + n.to_bytes(4, "big")
+                           + h.to_bytes(4, "big") + w.to_bytes(4, "big"))
+        labels.write_bytes(b"\x00\x00\x08\x01" + n.to_bytes(4, "big") + bytes(n))
+        with pytest.raises(IdxEmptyError, match=str(images)):
             load_idx(str(images), str(labels))
 
     def test_roundtrip_lossless_at_u8(self, tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from msun import Rng, ShapeError, Tensor, grad_check
-from msun.layers import (_BLOCK, _PIECE_BYTES, BatchNorm2d, Conv2d, Linear, batchnorm2d,
-                         bilinear_resize, conv2d, global_avg_pool, linear, maxpool2d,
-                         resize_images, softmax_cross_entropy)
+from msun.layers import (_BLOCK, BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
+                         conv2d, global_avg_pool, linear, maxpool2d, resize_images,
+                         softmax_cross_entropy)
 from msun.tensor import backward, mul, no_grad, record_branches, relu, tsum
 
 import oracles
@@ -92,10 +92,11 @@ class TestConv2d:
     @pytest.mark.parametrize("n", [13, 16, 128])   # 128 is the desk batch
     @pytest.mark.parametrize("shape", EXACT_SHAPES[:3], ids=str)
     def test_one_channel_reads_as_repeated(self, shape, n):
-        # a grey image against a 3-channel stem: the output and the weight and
-        # bias gradients equal those of the repeated image, though only the
-        # grey channel's columns are filled; widths 8 (desk) and 6 (tiny), as
-        # BLAS may round a width that is not a multiple of 4 differently
+        # a grey image against a 3-channel stem is convolved with the weight
+        # summed over its channels, which is exact in real arithmetic: the
+        # output and weight gradient lie within float32 rounding of the
+        # repeated image's float64 oracle, and the bias gradient equals the
+        # repeated image's; widths 8 (desk) and 6 (tiny)
         c, h, w, _, k, stride, pad = shape
         rng = Rng(3200 + h + k + n)
         x = randn(rng, (n, 1, h, w))
@@ -103,15 +104,19 @@ class TestConv2d:
         for m in (8, 6):
             wt, b = randn(rng, (m, c, k, k), 0.3), randn(rng, (m,))
             params = (Tensor(wt, requires_grad=True), Tensor(b, requires_grad=True))
-            got, want = conv2d(grey, *params, stride, pad), conv2d(rgb, *params, stride, pad)
-            g = randn(rng, want.shape)
-            assert np.array_equal(got.data, want.data), m
-            for name, one, rep in zip(("gx", "gw", "gb"), got.node.grad_fn(g),
-                                      want.node.grad_fn(g)):
-                assert (one is None and rep is None) or np.array_equal(one, rep), (name, m)
+            got, rep = conv2d(grey, *params, stride, pad), conv2d(rgb, *params, stride, pad)
+            g = randn(rng, got.shape)
+            gx, gw, gb = got.node.grad_fn(g)
+            want = oracles.conv2d_im2col(*(a.astype(np.float64) for a in (rgb.data, wt, b, g)),
+                                         stride, pad)
+            for name, one, ref in (("out", got.data, want[0]), ("gw", gw, want[2])):
+                assert one.dtype == np.float32, (name, m)
+                assert np.abs(one - ref).max() <= 1e-5 * np.abs(ref).max(), (name, m)
+            assert gx is None and np.array_equal(gb, rep.node.grad_fn(g)[2]), m
+            assert all(np.array_equal(gw[:, i], gw[:, 0]) for i in range(1, c)), m
             with no_grad():
                 free = conv2d(grey, *params, stride, pad)
-            assert free.node is None and np.array_equal(free.data, want.data), m
+            assert free.node is None and np.array_equal(free.data, got.data), m
 
     def test_one_channel_requiring_grad_raises(self):
         x = Tensor(np.zeros((1, 1, 4, 4), np.float32), requires_grad=True)
@@ -172,7 +177,8 @@ class TestConv2d:
     def test_taped_keeps_no_columns(self, shape):
         # at the desk batch of 128, the grey 64 px stem's one-channel columns
         # are 13.1 MB and unified.block1's columns 9.4 MB; past the forward, a
-        # taped conv holds no more than its output and one block of scratch
+        # taped conv holds no more than its output and one block of the input's
+        # columns
         c, cin, size, m, k, stride, pad = shape
         n = 128
         rng = Rng(36)
@@ -181,7 +187,7 @@ class TestConv2d:
         b = Tensor(randn(rng, (m,)), requires_grad=True)
         ho = (size + 2 * pad - k) // stride + 1
         out_bytes = n * m * ho * ho * 4
-        block = _BLOCK * cin * k * k * ho * ho * 4
+        block = _BLOCK * c * k * k * ho * ho * 4
         tracemalloc.start()
         try:
             out = conv2d(x, wt, b, stride, pad)
@@ -193,20 +199,16 @@ class TestConv2d:
             f"kept {kept} bytes vs output {out_bytes} and one block {block}"
 
     # (input channels, weight channels, size, out channels, kernel, stride,
-    # pad): the grey 64 px stem, whose GEMM operand is broadcast in pieces of
-    # 3 samples, and unified.block1
+    # pad): the grey 64 px stem and unified.block1
     REBUILD_SHAPES = [(1, 3, 64, 8, 5, 2, 2), (8, 8, 16, 8, 3, 1, 1)]
 
     @pytest.mark.parametrize("n", [1, 13, 128])
     @pytest.mark.parametrize("shape", REBUILD_SHAPES, ids=["grey-stem64", "unified.block1"])
     def test_weight_grad_rebuilt_at_backward_equals_im2col(self, shape, n):
         # the columns are rebuilt from the kept input when backward runs; at
-        # n = 13 the grey stem's last block of 5 samples ends in a short piece
+        # n = 13 the last block holds 5 samples
         c, cin, size, m, k, stride, pad = shape
         ho = (size + 2 * pad - k) // stride + 1
-        piece = max(1, _PIECE_BYTES // (cin * k * k * ho * ho * 4)) if c < cin else _BLOCK
-        if c < cin and n == 13:
-            assert (n % _BLOCK) % piece, "no short grey piece at this sample count"
         rng = Rng(3300 + size + n)
         x = randn(rng, (n, c, size, size))
         wt, b = randn(rng, (m, cin, k, k), 0.3), randn(rng, (m,))

@@ -89,16 +89,18 @@ class TestBuildVanilla:
         assert logits.data.shape == (1, 4)
 
     def test_grey_input_matches_repeated(self):
-        # data sources keep grey images one channel; the stem reads it as three
+        # data sources keep grey images one channel; the stem reads it as
+        # three through its channel-summed weight, which rounds differently
         grey = small_batch(Rng(2), 16, 6).data[:, :1]
         rgb = np.repeat(grey, 3, axis=1)
+        close = lambda a, b: np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
         for train in (True, False):
             a, b = build_vanilla(SPEC, Rng(0)), build_vanilla(SPEC, Rng(0))
             a.training = b.training = train
             got, want = a.forward_infer(grey, 16), b.forward_infer(rgb, 16)
-            assert np.array_equal(got.data, want.data)
-            for (_, buf_a), (_, buf_b) in zip(a.named_buffers(), b.named_buffers()):
-                assert np.array_equal(buf_a, buf_b)
+            assert close(got.data, want.data), train
+            for (name, buf_a), (_, buf_b) in zip(a.named_buffers(), b.named_buffers()):
+                assert close(buf_a, buf_b), (name, train)
 
     def test_parameter_count_hand_summed(self):
         # stem conv 5x5: 8*3*25+8; bn 8+8; block1 conv 8*8*9+8, bn 16;
