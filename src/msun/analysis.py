@@ -1,7 +1,10 @@
 """Quantitative instruments: CKA, FLOPs/params, accuracy means, Grad-CAM, PCA.
 
 All statistics run in float64 on frozen (eval-mode) models; every report type
-serializes to a fixed CSV schema documented in the README.
+serializes to a fixed CSV schema documented in the README. The activations
+behind CKA and PCA come from forward-only passes, in which each batch norm is
+folded into the conv before it (``BatchNorm2d.folded``); Grad-CAM records a
+tape, so its pass runs conv then batch norm.
 """
 
 from __future__ import annotations
@@ -76,10 +79,11 @@ def tap_activations(model: MsunModel, images: np.ndarray, size: int,
                     taps: Sequence[str]) -> dict:
     """Per-sample activations at each tap as float32 ``[N, -1]``.
 
-    Images are presented at ``size``, 128 at a time, without recording a tape.
+    Images are presented at ``size``, 128 at a time, to the model in eval
+    mode (the caller's mode is restored after) without recording a tape.
     """
     chunks = {t: [] for t in taps}
-    with T.no_grad():
+    with model.evaluating(), T.no_grad():
         for start in range(0, images.shape[0], 128):
             captured = dict.fromkeys(taps)
             model.forward_infer(images[start:start + 128], size, taps=captured)
@@ -102,7 +106,6 @@ def layerwise_cka(model: MsunModel, probe_images: np.ndarray, scale_a: int,
     n = probe_images.shape[0]
     if n < CKA_MIN_SAMPLES:
         raise ValueError(f"probe set has {n} samples, need at least {CKA_MIN_SAMPLES}")
-    model.eval()
     acts_a = tap_activations(model, probe_images, scale_a, taps)
     acts_b = tap_activations(model, probe_images, scale_b, taps)
     rows = [CkaRow(t, scale_a, scale_b, n, cka(acts_a[t], acts_b[t])) for t in taps]

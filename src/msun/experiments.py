@@ -65,15 +65,11 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 def evaluate_accuracy(model: MsunModel, ds: Dataset, size: int) -> float:
     """Share of correct argmax predictions with inputs presented at ``size``."""
-    was_training = model.training
-    model.eval()
     correct = 0
-    with T.no_grad():
+    with model.evaluating(), T.no_grad():
         for start in range(0, len(ds), 256):
             logits = model.forward_infer(ds.images[start:start + 256], size)
             correct += int((logits.data.argmax(axis=1) == ds.labels[start:start + 256]).sum())
-    if was_training:
-        model.train()
     return correct / len(ds)
 
 
@@ -173,6 +169,11 @@ def run_experiment(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) ->
     return _run_training(spec, model, train_ds, test_ds)
 
 
+def _file_digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> EvalReport:
     """Accuracy and routed FLOPs at every size of the sweep.
 
@@ -189,14 +190,13 @@ def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> Ev
     else:
         path = model_or_path
         model = ckpt.load_model(path)
-        before = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        before = _file_digest(path)
     rows = []
     for size in sizes:
         acc = evaluate_accuracy(model, test_ds, size)
         rows.append(EvalRow(size, acc, count_flops(model, size).total_flops))
     if path is not None:
-        after = hashlib.sha256(open(path, "rb").read()).hexdigest()
-        if before != after:
+        if _file_digest(path) != before:
             raise RuntimeError(f"evaluation mutated checkpoint {path}")
     return EvalReport(rows)
 
@@ -206,7 +206,6 @@ def linear_probe(model_or_path, target: Dataset, epochs: int = 10, seed: int = 0
     model = model_or_path if isinstance(model_or_path, MsunModel) \
         else ckpt.load_model(model_or_path)
     state_before = {n: p.data.copy() for n, p in model.named_params()}
-    model.eval()
     train_ds, test_ds = split_dataset(target, 0.8, seed)
 
     x_train, x_test = (tap_activations(model, ds.images, ds.native_size, ["pooled"])["pooled"]

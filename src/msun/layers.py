@@ -5,14 +5,18 @@ lifting runs through im2col + GEMM in float32 with float64 statistics and
 loss reductions. The window kernels work a few samples or one strided view
 at a time so that each pass over memory is a long contiguous run that stays
 in cache: conv im2col and GEMM are blocked by samples, the conv input
-gradient is summed in stride-phase planes, max-pool is a running maximum
-with per-offset first-max masks, and batch norm works in place. No conv
-pass keeps its im2col columns: the backward rule keeps the input array and
-refills one block of columns at a time for the weight gradient, so taped and
-forward-only passes run one path. A forward-only pass (``no_grad``, or no
-input requiring grad) keeps no buffer that only a backward reads: max-pool
-builds no masks, and batch norm applies its affine in place over the
-normalized input. None of this changes a float operation or its order.
+gradient is summed in stride-phase planes, and max-pool is a running maximum
+with per-offset first-max masks. No conv pass keeps its im2col columns: the
+backward rule keeps the input array and refills one block of columns at a
+time for the weight gradient, so taped and forward-only passes run one path.
+A forward-only pass (``no_grad``, or no input requiring grad) keeps no buffer
+that only a backward reads: max-pool builds no masks. None of this changes a
+float operation or its order.
+Eval-mode batch norm is a fixed per-channel affine, so it composes with the
+convolution before it: ``BatchNorm2d.folded`` returns that composition as one
+convolution's weight and bias, which the model's forward-only eval passes
+run instead of conv then batch norm. That is exact in real arithmetic but
+rounds differently; taped passes and training keep conv then batch norm.
 Grey images stay one channel through the stem: conv reads a one-channel
 input as that channel repeated across the weight's input channels, by
 convolving the one channel with the weight summed over them. That is exact
@@ -38,6 +42,7 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
+BN_EPS = 1e-5   # batch norm's variance floor, in batchnorm2d and BatchNorm2d.folded
 
 
 def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
@@ -287,13 +292,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     else:
         var = running_var.astype(np.float64)
         xc = x.data - running_mean[None, :, None, None].astype(dt)
-    inv = (1.0 / np.sqrt(var + 1e-5)).astype(dt)[None, :, None, None]
+    inv = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)[None, :, None, None]
     xhat = xc
     xhat *= inv
     scale = gamma.data[None, :, None, None]
-    # xhat is this call's own array; with no backward to read it, scale it in place
-    in_place = not records((x, gamma, beta)) and np.result_type(scale, xhat) == dt
-    out = np.multiply(scale, xhat, out=xhat if in_place else None)
+    out = scale * xhat
     shift = beta.data[None, :, None, None]
     out = np.add(out, shift, out=out if np.result_type(out, shift) == out.dtype else None)
     m = n * h * w
@@ -436,6 +439,20 @@ class BatchNorm2d:
     def forward(self, x: Tensor, train: bool, stat_set: int = -1) -> Tensor:
         return batchnorm2d(x, self.gamma, self.beta, self.running_means[stat_set],
                            self.running_vars[stat_set], train, self.momentum)
+
+    def folded(self, conv: Conv2d, stat_set: int = -1):
+        """``conv`` then this layer in eval mode, as one convolution's constant
+        (weight, bias) tensors.
+
+        With ``s = gamma / sqrt(var + eps)`` from running statistics set
+        ``stat_set``, the weight is ``w * s`` per output channel and the bias
+        ``(b - mean) * s + beta``, computed in float64 and cast to float32.
+        """
+        mean = self.running_means[stat_set].astype(np.float64)
+        s = self.gamma.data / np.sqrt(self.running_vars[stat_set].astype(np.float64) + BN_EPS)
+        weight = conv.weight.data * s[:, None, None, None]   # float64 from here on
+        bias = (conv.bias.data - mean) * s + self.beta.data
+        return Tensor(weight.astype(DTYPE)), Tensor(bias.astype(DTYPE))
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]

@@ -14,13 +14,14 @@ with a single scale as well, that is the ordinary fixed-input network.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .layers import (BatchNorm2d, Conv2d, Linear, bilinear_resize, conv_out_size,
+from .layers import (BatchNorm2d, Conv2d, Linear, bilinear_resize, conv2d, conv_out_size,
                      global_avg_pool, maxpool2d, resize_images, softmax_cross_entropy)
 from .rng import Rng
 from .tensor import FieldError, NonFiniteError, ShapeError, Tensor
@@ -85,6 +86,15 @@ def route_scale(input_size: int, scales: ScaleSet) -> int:
 STEMS = {4: (5, 2, 2), 2: (3, 2, 0), 1: (3, 1, 0)}
 
 
+def _conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor, train: bool, stat_set=-1) -> Tensor:
+    """``conv`` then ``bn``. An eval pass that records no tape runs one
+    convolution with the pair folded together (``BatchNorm2d.folded``)."""
+    if train or T.records((x, conv.weight, conv.bias, bn.gamma, bn.beta)):
+        return bn.forward(conv.forward(x, train), train, stat_set)
+    weight, bias = bn.folded(conv, stat_set)
+    return conv2d(x, weight, bias, conv.stride, conv.pad)
+
+
 class ConvBlock:
     """conv k x k (padding k // 2) -> BN -> ReLU, then a max-pool if ``pool``."""
 
@@ -95,7 +105,7 @@ class ConvBlock:
         self.pool = pool
 
     def forward(self, x, train, stat_set=-1):
-        h = self.bn.forward(self.conv.forward(x, train), train, stat_set).relu()
+        h = _conv_bn(self.conv, self.bn, x, train, stat_set).relu()
         if self.pool:
             h = maxpool2d(h, self.pool, self.pool)
         return h
@@ -126,11 +136,11 @@ class ResidualBlock:
             self.proj_bn = BatchNorm2d(out_ch, n_stat_sets=n_stat_sets)
 
     def forward(self, x, train, stat_set=-1):
-        h = self.bn1.forward(self.conv1.forward(x, train), train, stat_set).relu()
-        h = self.bn2.forward(self.conv2.forward(h, train), train, stat_set)
+        h = _conv_bn(self.conv1, self.bn1, x, train, stat_set).relu()
+        h = _conv_bn(self.conv2, self.bn2, h, train, stat_set)
         skip = x
         if self.proj is not None:
-            skip = self.proj_bn.forward(self.proj.forward(x, train), train, stat_set)
+            skip = _conv_bn(self.proj, self.proj_bn, x, train, stat_set)
         return (h + skip).relu()
 
     def children(self):
@@ -292,6 +302,16 @@ class MsunModel:
     def eval(self):
         self.training = False
         return self
+
+    @contextmanager
+    def evaluating(self):
+        """Eval mode inside the context; the caller's mode is restored after."""
+        was_training = self.training
+        self.training = False
+        try:
+            yield self
+        finally:
+            self.training = was_training
 
     def named_layers(self):
         """(name, layer) for every subnet's layers, then unified's, then the

@@ -240,8 +240,8 @@ class Tensor:
 def records(inputs) -> bool:
     """Whether an op over ``inputs`` records a tape node: gradients are on
     and some input requires grad. Buffers that only a backward reads (max-pool
-    masks, the normalized batch-norm input) are built or kept only when it
-    holds."""
+    masks) are built only when it holds, and an eval-mode conv-BN pair runs as
+    one folded convolution only when it does not."""
     return _grad_enabled and any(t.requires_grad for t in inputs)
 
 

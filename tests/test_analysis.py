@@ -6,7 +6,7 @@ import pytest
 from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, average_accuracy,
                   build_vanilla, center_features, cka, count_flops, count_params,
                   gen_shapes, grad_cam, layerwise_cka, pca_project)
-from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm
+from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm, tap_activations
 from msun.layers import Conv2d
 
 import oracles
@@ -89,6 +89,24 @@ class TestCka:
         k = xc @ xc.T
         assert np.max(np.abs(k - k.T)) < 1e-9
         assert np.max(np.abs(k.sum(axis=1))) < 1e-9
+
+
+class TestTapActivations:
+    def test_runs_in_eval_mode_and_restores_the_mode(self):
+        # a freshly built model is in train mode: normalizing by each chunk's
+        # statistics would change the activations and the running buffers
+        model = MsunModel(BackboneSpec((8, 16), (1, 1), "plain", 6, 64),
+                          ScaleSet([16, 32, 64]), 1, Rng(0))
+        images = gen_shapes(5, 40, 6, 64).images
+        buffers = [b.copy() for _, b in model.named_buffers()]
+        taps = model.tap_names()
+        got = tap_activations(model, images, 32, taps)
+        assert model.training
+        for (name, b), before in zip(model.named_buffers(), buffers):
+            assert np.array_equal(b, before), name
+        want = tap_activations(model.eval(), images, 32, taps)
+        for t in taps:
+            assert np.array_equal(got[t], want[t]), t
 
 
 class TestLayerwiseCka:

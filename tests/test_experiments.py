@@ -1,11 +1,13 @@
 """Experiment protocols on tiny smoke-scale runs."""
 
+import gc
 import hashlib
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from pathlib import Path
 
@@ -190,6 +192,13 @@ class TestEvalMultiscale:
         eval_multiscale(path, data[1], [16, 32])
         after = hashlib.sha256(open(path, "rb").read()).hexdigest()
         assert before == after
+
+    def test_checkpoint_file_is_closed(self, msun_result, data):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            eval_multiscale(msun_result.checkpoint_path, data[1], [32])
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_unsorted_sizes_rejected(self, msun_result, data):
         with pytest.raises(ValueError):

@@ -479,6 +479,25 @@ class TestBatchNorm:
         for a, b in zip(free_stats, taped_stats):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("stat_set", [0, -1])
+    def test_folded_conv_matches_conv_then_eval_norm(self, stat_set):
+        rng = Rng(5200)
+        conv = Conv2d(5, 7, 3, 2, 1, rng)
+        conv.bias.data[:] = randn(rng, (7,), 0.3)
+        bn = BatchNorm2d(7, n_stat_sets=2)
+        bn.gamma.data[:] = randn(rng, (7,), 0.3, 1.0)
+        bn.beta.data[:] = randn(rng, (7,), 0.2)
+        for mean, var in zip(bn.running_means, bn.running_vars):
+            mean[:] = randn(rng, (7,), 0.5)
+            var[:] = rng.uniform((7,)) + 0.5
+        x = Tensor(randn(rng, (6, 5, 9, 9)))
+        want = bn.forward(conv.forward(x, False), False, stat_set).data
+        weight, bias = bn.folded(conv, stat_set)
+        assert not (weight.requires_grad or bias.requires_grad)
+        assert weight.dtype == bias.dtype == np.float32
+        got = conv2d(x, weight, bias, conv.stride, conv.pad).data
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
     def test_per_set_statistics_are_independent(self):
         layer = BatchNorm2d(2, momentum=1.0, n_stat_sets=2)
         rng = Rng(10)

@@ -1,5 +1,6 @@
 """Multi-scale model core: construction, routing, losses, training step."""
 
+import dataclasses
 import hashlib
 import os
 import tracemalloc
@@ -10,17 +11,18 @@ import pytest
 from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, build_vanilla,
                   route_scale, si_loss, total_loss)
 from msun import layers
-from msun.analysis import count_params
+from msun.analysis import count_params, grad_cam
 from msun.config import load_config
 from msun.data import gen_shapes, make_multiscale
 from msun.layers import bilinear_resize, resize_images
 from msun.model import LossBreakdown, _step_with_logits
 from msun.optim import SGD
-from msun.tensor import backward, grad_check, maximum_scalar
+from msun.tensor import backward, grad_check, maximum_scalar, no_grad
 
 import oracles
 
 TINY_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "tiny.cfg")
+DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
 SPEC = BackboneSpec((8, 16), (1, 1), "plain", 4, 32)
 SCALES = ScaleSet([8, 16, 32])
 
@@ -274,6 +276,79 @@ class TestForwardInfer:
         logits_infer = model.forward_infer(x.data, 16)
         logits_train, _ = model.forward_branch(1, x)
         assert np.max(np.abs(logits_infer.data - logits_train.data)) < 1e-6
+
+
+def _fold_models():
+    """Builders covering every conv-BN pair kind: the desk plain msun and
+    vanilla models, and tiny-shape residual models whose first unified block
+    has an identity skip and whose second a projected one."""
+    desk, tiny = load_config(DESK_CFG), load_config(TINY_CFG)
+    residual = dataclasses.replace(tiny.backbone(), block_kind="residual")
+    return {"desk-msun": lambda: MsunModel(desk.backbone(), desk.scales(),
+                                           desk["model.subnet_blocks"], Rng(1)),
+            "desk-vanilla": lambda: build_vanilla(desk.backbone(), Rng(1)),
+            "tiny-residual-b1": lambda: MsunModel(residual, tiny.scales(), 1, Rng(2)),
+            "tiny-residual-b2": lambda: MsunModel(residual, tiny.scales(), 2, Rng(3))}
+
+
+FOLD_MODELS = _fold_models()
+
+
+def _perturbed_batch_norms(model, rng):
+    """Set every batch norm's affine and each running-statistics set off their
+    initial values, so a fold that drops a term shows."""
+    for _, layer in model.named_layers():
+        if isinstance(layer, layers.BatchNorm2d):
+            c = layer.gamma.shape[0]
+            layer.gamma.data[:] = 0.5 + rng.uniform((c,))
+            layer.beta.data[:] = 0.2 * rng.normal((c,))
+            for mean, var in zip(layer.running_means, layer.running_vars):
+                mean[:] = 0.3 * rng.normal((c,))
+                var[:] = 0.5 + rng.uniform((c,))
+    return model.eval()
+
+
+class TestBatchNormFold:
+    """A forward-only eval pass convolves with each batch norm folded into the
+    conv before it; taped passes and training run conv then batch norm."""
+
+    @pytest.mark.parametrize("name", FOLD_MODELS)
+    def test_forward_only_matches_taped_on_every_branch(self, name):
+        model = _perturbed_batch_norms(FOLD_MODELS[name](), Rng(40))
+        rng = Rng(41)
+        for i, size in enumerate(model.scales):
+            for channels in (3, 1):   # grey inputs take the channel-summed stem
+                x = Tensor(rng.uniform((24, channels, size, size)).astype(np.float32))
+                taped, taped_feats = model.forward_branch(i, x)
+                assert taped.node is not None
+                with no_grad():
+                    free, free_feats = model.forward_branch(i, x)
+                assert free.node is None and free.data.dtype == taped.data.dtype
+                for got, want in ((free, taped), (free_feats, taped_feats)):
+                    scale = np.abs(want.data).max()
+                    assert np.abs(got.data - want.data).max() <= 1e-5 * scale, (i, channels)
+                assert np.array_equal(free.data.argmax(axis=1), taped.data.argmax(axis=1))
+
+    def test_only_taped_passes_run_batch_norm(self, monkeypatch):
+        bn_calls = []   # each call's ``train`` argument
+        batchnorm2d = layers.batchnorm2d
+        monkeypatch.setattr(layers, "batchnorm2d",
+                            lambda *args: bn_calls.append(args[5]) or batchnorm2d(*args))
+        spec = BackboneSpec((8, 16), (1, 1), "residual", 4, 32)
+        model = MsunModel(spec, ScaleSet([16, 32]), 1, Rng(5)).eval()
+        images = small_batch(Rng(6), 32).data
+        with no_grad():
+            model.forward_infer(images, 20)
+            model.forward_infer(images, 32)
+        assert bn_calls == []
+        grad_cam(model, images[:1], 1)   # a taped eval pass: stem, 2 + 3 in the blocks
+        assert bn_calls == [False] * 6
+        bn_calls.clear()
+        model.train()
+        batches = [small_batch(Rng(i), s) for i, s in enumerate(model.scales)]
+        _step_with_logits(model, batches, np.array([0, 1, 2, 3]), SGD(model.named_params()),
+                          0.0, 0.01)
+        assert bn_calls == [True] * 12
 
 
 class TestSiLoss:
