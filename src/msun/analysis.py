@@ -256,11 +256,11 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
     n_classes = model.spec.num_classes
     if not 0 <= target_class < n_classes:
         raise ValueError(f"class {target_class} out of range [0, {n_classes})")
-    model.eval()
     model.zero_grad()
     last_tap = f"unified.{model.unified.blocks[-1][0]}"
     taps = {last_tap: None}
-    logits = model.forward_infer(image, native_size, taps=taps)
+    with model.evaluating():
+        logits = model.forward_infer(image, native_size, taps=taps)
     feats = taps[last_tap]
     feats.retain_grad()
     mask = np.zeros(logits.shape, dtype=np.float32)

@@ -12,6 +12,10 @@ time for the weight gradient, so taped and forward-only passes run one path.
 A forward-only pass (``no_grad``, or no input requiring grad) keeps no buffer
 that only a backward reads: max-pool builds no masks. None of this changes a
 float operation or its order.
+Batch norm applies its normalization and affine as one per-channel scale of
+the centred input, and its backward needs two float64 reductions, not four.
+That is exact in real arithmetic but rounds differently from normalizing
+first.
 Eval-mode batch norm is a fixed per-channel affine, so it composes with the
 convolution before it: ``BatchNorm2d.folded`` returns that composition as one
 convolution's weight and bias, which the model's forward-only eval passes
@@ -42,7 +46,7 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
 _BLOCK = 8   # samples per window block; its columns and planes stay in cache
-BN_EPS = 1e-5   # batch norm's variance floor, in batchnorm2d and BatchNorm2d.folded
+BN_EPS = 1e-5   # batch norm's variance floor
 
 
 def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
@@ -140,17 +144,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     def operands():
         """Yield ``(a, b, cols)``: samples [a, b)'s columns, ``[b - a, c * k * k, ho * wo]``."""
         cols = np.empty((min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
-        xp = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else None
+        # one window view a pass: over the input, or over the pad buffer each block refills
+        src = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else xd
+        s0, s1, s2, s3 = src.strides
+        windows = as_strided(src, (len(src), c, k, k, ho, wo),
+                             (s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
         for a in range(0, n, _BLOCK):
             nb = min(a + _BLOCK, n) - a
-            src = xd[a:a + nb]
             if pad:
-                src = xp[:nb]
-                src[:, :, pad:pad + h, pad:pad + w] = xd[a:a + nb]
-            s0, s1, s2, s3 = src.strides
-            np.copyto(cols[:nb], as_strided(src, (nb, c, k, k, ho, wo),
-                                            (s0, s1, s2, s3, s2 * stride, s3 * stride),
-                                            writeable=False))
+                src[:nb, :, pad:pad + h, pad:pad + w] = xd[a:a + nb]
+            np.copyto(cols[:nb], windows[:nb] if pad else windows[a:a + nb])
             yield a, a + nb, cols[:nb].reshape(nb, c * k * k, ho * wo)
 
     out = np.empty((n, m, ho * wo), dtype=np.result_type(w2, xd))
@@ -270,12 +273,26 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return from_op(out, "linear", (x, weight, bias), grad_fn)
 
 
+def _bn_scale(gamma: np.ndarray, var: np.ndarray):
+    """Batch norm's per-channel scale ``gamma / std`` and ``std = sqrt(var + eps)``,
+    both float64."""
+    std = np.sqrt(var.astype(np.float64) + BN_EPS)
+    return gamma / std, std
+
+
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 running_var: np.ndarray, train: bool, momentum: float = 0.1) -> Tensor:
     """Channel-wise batch normalization over [N,C,H,W].
 
     Train mode normalizes with (biased) batch statistics and folds them into
     the running buffers in place; eval mode depends only on the buffers.
+    The normalization and the affine are one per-channel scale: with
+    ``xc = x - mean`` and ``a = gamma / std``, the output is ``xc * a + beta``.
+    The rule keeps ``xc``, not ``xc / std``, and its backward (Ioffe &
+    Szegedy 2015) needs two float64 reductions, ``dbeta = sum(g)`` and
+    ``sgx = sum(g * xc)``: ``dgamma = sgx / std``, and in train mode
+    ``gx = (g - dbeta / m - xc * sgx / (var + eps) / m) * a`` over the ``m``
+    elements of a channel.
     """
     n, c, h, w = x.shape
     dt = x.data.dtype
@@ -292,33 +309,27 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     else:
         var = running_var.astype(np.float64)
         xc = x.data - running_mean[None, :, None, None].astype(dt)
-    inv = (1.0 / np.sqrt(var + BN_EPS)).astype(dt)[None, :, None, None]
-    xhat = xc
-    xhat *= inv
-    scale = gamma.data[None, :, None, None]
-    out = scale * xhat
-    shift = beta.data[None, :, None, None]
-    out = np.add(out, shift, out=out if np.result_type(out, shift) == out.dtype else None)
+    a, std = _bn_scale(gamma.data, var)
+    a = a.astype(dt)[None, :, None, None]
+    out = xc * a
+    out += beta.data[None, :, None, None]
     m = n * h * w
 
     def grad_fn(g):
-        t = g * xhat
-        dgamma = t.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
-        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE)
-        dxhat = g * scale
+        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64)
+        t = g * xc
+        sgx = t.sum(axis=(0, 2, 3), dtype=np.float64)
+        dgamma = (sgx / std).astype(DTYPE)
         if not train:
-            dxhat *= inv
-            return dxhat, dgamma, dbeta
-        s1 = dxhat.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        np.multiply(dxhat, xhat, out=t)
-        s2 = t.sum(axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        # gx = (inv / m) * (m * dxhat - s1 - xhat * s2), operation by operation
-        np.multiply(xhat, s2[None, :, None, None], out=t)
-        dxhat *= m
-        dxhat -= s1[None, :, None, None]
-        dxhat -= t
-        dxhat *= inv / m
-        return dxhat, dgamma, dbeta
+            np.multiply(g, a, out=t)
+            return t, dgamma, dbeta.astype(DTYPE)
+        k1 = (dbeta / m).astype(dt)[None, :, None, None]
+        k2 = (sgx / (var + BN_EPS) / m).astype(dt)[None, :, None, None]
+        gx = g - k1
+        np.multiply(xc, k2, out=t)
+        gx -= t
+        gx *= a
+        return gx, dgamma, dbeta.astype(DTYPE)
 
     return from_op(out, "batchnorm2d", (x, gamma, beta), grad_fn)
 
@@ -449,7 +460,7 @@ class BatchNorm2d:
         ``(b - mean) * s + beta``, computed in float64 and cast to float32.
         """
         mean = self.running_means[stat_set].astype(np.float64)
-        s = self.gamma.data / np.sqrt(self.running_vars[stat_set].astype(np.float64) + BN_EPS)
+        s, _ = _bn_scale(self.gamma.data, self.running_vars[stat_set])
         weight = conv.weight.data * s[:, None, None, None]   # float64 from here on
         bias = (conv.bias.data - mean) * s + self.beta.data
         return Tensor(weight.astype(DTYPE)), Tensor(bias.astype(DTYPE))

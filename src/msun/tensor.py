@@ -309,6 +309,10 @@ def mul(a, b) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0). A pass that neither records nor notes branches builds no
+    mask; its negatives come out +0.0 where the masked product gives -0.0."""
+    if not records((a,)) and _branch_sink is None:
+        return from_op(np.maximum(a.data, 0), "relu", (a,), None)
     mask = a.data > 0
     if _branch_sink is not None:
         _note_branch(np.packbits(mask.reshape(-1)).tobytes())

@@ -212,7 +212,9 @@ def maxpool2d_backward_loops(x, g, window, stride):
 
 def batchnorm2d_formulas(x, gamma, beta, running_mean, running_var, train, g,
                          eps=1e-5):
-    """Output and (input, gamma, beta) gradients, one temporary per operation."""
+    """Output and (input, gamma, beta) gradients, normalizing first, one
+    temporary per operation: the textbook form, which batch norm's fused
+    arithmetic matches within rounding, not bit for bit."""
     n, c, h, w = x.shape
     dt = x.dtype
     if train:

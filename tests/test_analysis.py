@@ -294,6 +294,15 @@ class TestGradCam:
         rebuilt = grad_cam_formula(cam.channel_weights, cam.activations)
         assert np.max(np.abs(rebuilt - cam.values)) < 1e-6
 
+    def test_restores_the_callers_mode(self):
+        model, image = self._model_and_image()
+        model.train()
+        cam = grad_cam(model, image, 2)
+        assert model.training
+        model.eval()
+        assert np.array_equal(cam.values, grad_cam(model, image, 2).values)
+        assert not model.training
+
     def test_all_negative_weights_zero_map(self):
         alphas = -np.ones(3)
         acts = np.abs(Rng(1).normal((3, 4, 4)))

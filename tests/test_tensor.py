@@ -8,7 +8,8 @@ import pytest
 
 from msun import Rng, ShapeError, Tensor, backward, grad_check
 from msun.rng import _CHUNK
-from msun.tensor import add, maximum_scalar, mul, relu, sub, tmean, tsum
+from msun.tensor import (add, maximum_scalar, mul, no_grad, record_branches, relu, sub, tmean,
+                         tsum)
 
 from oracles import box_muller_whole_array
 
@@ -25,6 +26,22 @@ class TestElementwise:
     def test_relu(self):
         out = relu(Tensor(arr(-1, 0, 2)))
         assert np.array_equal(out.data, arr(0, 0, 2))
+
+    def test_relu_forward_only_equals_taped(self):
+        x = Rng(3).normal((4, 3, 5, 5)).astype(np.float32)
+        x[0, 0, 0, :2] = (0.0, -0.0)
+        taped = relu(Tensor(x, requires_grad=True))
+        with no_grad():
+            free = relu(Tensor(x, requires_grad=True))
+        assert taped.node is not None and free.node is None
+        assert free.data.dtype == taped.data.dtype
+        assert np.array_equal(free.data, taped.data)
+
+    def test_relu_notes_its_sign_pattern_without_a_tape(self):
+        x = Rng(4).normal((2, 3, 4, 4)).astype(np.float32)
+        with no_grad(), record_branches() as rec:
+            relu(Tensor(x))
+        assert rec.fingerprint() == np.packbits(x.reshape(-1) > 0).tobytes()
 
     def test_multiply_by_zero_scalar(self):
         out = mul(Tensor(arr(2, 3)), Tensor(0.0))
