@@ -2,9 +2,9 @@
 
 All statistics run in float64 on frozen (eval-mode) models; every report type
 serializes to a fixed CSV schema documented in the README. The activations
-behind CKA and PCA come from forward-only passes, in which each batch norm is
-folded into the conv before it (``BatchNorm2d.folded``); Grad-CAM records a
-tape, so its pass runs conv then batch norm.
+behind CKA, PCA and Grad-CAM come from forward-only passes, in which each
+batch norm is folded into the conv before it (``BatchNorm2d.folded``); no
+instrument records a tape.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tensor as T
 from .model import MsunModel, route_scale
-from .tensor import Tensor
 
 CKA_MIN_SAMPLES = 64   # fewest probe samples layerwise_cka accepts
 
@@ -245,9 +244,14 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
              native_size: Optional[int] = None) -> GradCamMap:
     """Class-activation map over the deepest shared conv features.
 
-    Channel weights are the spatial mean of the class logit's gradient on
-    those features; the map is the ReLU of the weighted channel sum, at
-    feature resolution.
+    Grad-CAM weights each channel by the spatial mean of the class logit's
+    gradient on those features; the map is the ReLU of the weighted channel
+    sum, at feature resolution (Selvaraju et al. 2017, arXiv:1610.02391).
+    The head is global average pooling then one linear layer, so that
+    gradient is ``W[c, k] / (h * w)`` at every position and the weights are
+    the head's class row over ``h * w``: Grad-CAM is CAM here (Zhou et al.
+    2016, arXiv:1512.04150). One forward-only eval pass gives the features;
+    no tape is recorded and no gradient is written.
     """
     if image.ndim == 3:
         image = image[None]
@@ -256,20 +260,14 @@ def grad_cam(model: MsunModel, image: np.ndarray, target_class: int,
     n_classes = model.spec.num_classes
     if not 0 <= target_class < n_classes:
         raise ValueError(f"class {target_class} out of range [0, {n_classes})")
-    model.zero_grad()
     last_tap = f"unified.{model.unified.blocks[-1][0]}"
     taps = {last_tap: None}
-    with model.evaluating():
-        logits = model.forward_infer(image, native_size, taps=taps)
-    feats = taps[last_tap]
-    feats.retain_grad()
-    mask = np.zeros(logits.shape, dtype=np.float32)
-    mask[0, target_class] = 1.0
-    score = (logits * Tensor(mask)).sum()
-    T.backward(score)
-    grads = feats.grad[0].astype(np.float64)
-    acts = feats.data[0].astype(np.float64)
-    alphas = grads.mean(axis=(1, 2))
+    with model.evaluating(), T.no_grad():
+        model.forward_infer(image, native_size, taps=taps)
+    acts = taps[last_tap].data[0].astype(np.float64)
+    _, h, w = acts.shape
+    # divided in float32, as the pooling's backward does, then widened
+    alphas = (model.head.weight.data[target_class] / (h * w)).astype(np.float64)
     return GradCamMap(grad_cam_formula(alphas, acts), target_class, alphas, acts)
 
 

@@ -1,34 +1,27 @@
 """CNN building blocks: conv, pooling, batch norm, linear, losses, resize.
 
-Each op is a fused tape node with a hand-derived backward rule; the heavy
-lifting runs through im2col + GEMM in float32 with float64 statistics and
-loss reductions. The window kernels work a few samples or one strided view
-at a time so that each pass over memory is a long contiguous run that stays
-in cache: conv im2col and GEMM are blocked by samples, the conv input
-gradient is summed in stride-phase planes, and max-pool is a running maximum
-with per-offset first-max masks. No conv pass keeps its im2col columns: the
-backward rule keeps the input array and refills one block of columns at a
-time for the weight gradient, so taped and forward-only passes run one path.
-A forward-only pass (``no_grad``, or no input requiring grad) keeps no buffer
-that only a backward reads: max-pool builds no masks. None of this changes a
-float operation or its order.
-Batch norm applies its normalization and affine as one per-channel scale of
-the centred input, and its backward needs two float64 reductions, not four.
-That is exact in real arithmetic but rounds differently from normalizing
-first.
-Eval-mode batch norm is a fixed per-channel affine, so it composes with the
-convolution before it: ``BatchNorm2d.folded`` returns that composition as one
-convolution's weight and bias, which the model's forward-only eval passes
-run instead of conv then batch norm. That is exact in real arithmetic but
-rounds differently; taped passes and training keep conv then batch norm.
-Grey images stay one channel through the stem: conv reads a one-channel
-input as that channel repeated across the weight's input channels, by
-convolving the one channel with the weight summed over them. That is exact
-in real arithmetic but rounds differently from the repeated input's GEMMs.
-Backward rules capture the arrays they read, never an input tensor, and skip
-operands that do not require grad: a stem convolution over raw images
-computes no image gradient, and a linear map over constant features none for
-its input.
+Each op is one tape node with a hand-derived backward rule, in float32 with
+float64 statistics and loss reductions. A rule captures the arrays it reads,
+never an input tensor, and computes no gradient for an operand that does not
+require grad. A pass that records no tape builds no buffer that only a
+backward reads (max-pool masks).
+
+Conv is im2col + GEMM over blocks of a few samples, so each pass over memory
+stays in cache. Its rule keeps the input, not the columns, and refills one
+block of columns at a time for the weight gradient; the input gradient is
+summed in stride-phase planes. Max-pool is a running maximum with per-offset
+first-max masks.
+
+Three rewrites are exact in real arithmetic but round differently from the
+textbook form, so tests hold them to tolerances:
+
+- batch norm applies normalization and affine as one per-channel scale of
+  the centred input, and its backward needs two float64 reductions;
+- ``BatchNorm2d.folded`` composes eval-mode batch norm with the conv before
+  it, and the model's forward-only eval passes run that one convolution;
+- a one-channel (grey) input is convolved with the weight summed over its
+  input channels, which reads it as that channel repeated.
+
 Parameter-owning layers draw their initial weights from the shared
 SplitMix64 stream (Kaiming fan-in normals for conv/linear).
 """

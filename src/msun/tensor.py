@@ -32,7 +32,6 @@ Off glibc nothing is set.
 from __future__ import annotations
 
 import ctypes
-import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,20 +93,17 @@ class TapeNode:
     gradients w.r.t. each input (None for inputs that need none); it captures
     arrays, shapes and flags, not tensors. ``conv2d`` and ``linear`` return
     None for an input that does not require grad and skip the arithmetic that
-    would have produced its gradient. ``retained`` is a weak reference to the
-    output tensor once ``Tensor.retain_grad`` asked for its gradient.
-    ``backward`` clears ``grad_fn``, ``parents`` and ``retained`` once the
-    rule has run.
+    would have produced its gradient. ``backward`` clears ``grad_fn`` and
+    ``parents`` once the rule has run.
     """
 
-    __slots__ = ("op", "parents", "dtype", "grad_fn", "retained")
+    __slots__ = ("op", "parents", "dtype", "grad_fn")
 
     def __init__(self, op: str, parents: tuple, dtype: np.dtype, grad_fn: Callable):
         self.op = op
         self.parents = parents
         self.dtype = dtype
         self.grad_fn = grad_fn
-        self.retained = None
 
 
 _grad_enabled = True
@@ -202,17 +198,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def retain_grad(self) -> "Tensor":
-        """Ask backward to keep this non-leaf tensor's gradient in .grad.
-
-        The tensor registers itself on its own node, so consumers recorded
-        before the call still route its gradient here. A leaf that requires
-        grad receives its gradient anyway.
-        """
-        if self.node is not None:
-            self.node.retained = weakref.ref(self)
-        return self
 
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
@@ -354,7 +339,7 @@ def maximum_scalar(a: Tensor, floor: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every requires_grad tensor reachable from loss.
+    """Populate ``grad`` of every leaf that requires grad reachable from loss.
 
     Gradients accumulate into existing buffers, so call ``zero_grad`` on the
     parameters first; a tensor used twice receives the sum of both paths.
@@ -406,9 +391,6 @@ def backward(loss: Tensor) -> None:
         if type(v) is not TapeNode:
             _accumulate(v, g)
             continue
-        kept = v.retained() if v.retained is not None else None
-        if kept is not None:
-            _accumulate(kept, g)
         for parent, pg in zip(v.parents, v.grad_fn(g)):
             if pg is None or parent is None:
                 continue
@@ -422,7 +404,7 @@ def backward(loss: Tensor) -> None:
                 cur[0] = cur[0].astype(parent.dtype, copy=True)
                 cur[1] = True
                 cur[0] += pg
-        v.grad_fn = v.parents = v.retained = None
+        v.grad_fn = v.parents = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

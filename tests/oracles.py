@@ -1,10 +1,16 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written as plainly as possible (nested loops, direct
-summation) and never calls into the package's own compute paths.
+summation) and never calls into the package's own compute paths, except
+``grad_cam_taped``: Grad-CAM by its definition, differentiated on the
+package's tape, the reference for the closed form ``analysis.grad_cam`` uses.
+``perturbed_batch_norms`` sets up the models that the eval-fold tests and
+that reference run on.
 """
 
 import numpy as np
+
+from msun import layers, tensor
 
 
 def conv2d_loops(x, w, b, stride, pad):
@@ -260,3 +266,37 @@ def box_muller_whole_array(state, shape, mean, std):
     u2 = (d2 >> np.uint64(11)).astype(np.float64) * inv53
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return (mean + std * z).reshape(shape), state
+
+
+def perturbed_batch_norms(model, rng):
+    """Set every batch norm's affine and each running-statistics set off their
+    initial values, so a fold that drops a term shows; returns the model in
+    eval mode."""
+    for _, layer in model.named_layers():
+        if isinstance(layer, layers.BatchNorm2d):
+            c = layer.gamma.shape[0]
+            layer.gamma.data[:] = 0.5 + rng.uniform((c,))
+            layer.beta.data[:] = 0.2 * rng.normal((c,))
+            for mean, var in zip(layer.running_means, layer.running_vars):
+                mean[:] = 0.3 * rng.normal((c,))
+                var[:] = 0.5 + rng.uniform((c,))
+    return model.eval()
+
+
+def grad_cam_taped(model, image, cls, size):
+    """Grad-CAM's (channel weights, map) by its definition: the spatial mean
+    of the class logit's gradient on the last shared features, from a taped
+    eval pass (conv then batch norm) and a backward through the pooled head
+    to a leaf copy of those features. Writes the head parameters' ``.grad``."""
+    last = f"unified.{model.unified.blocks[-1][0]}"
+    taps = {last: None}
+    with model.evaluating():
+        model.forward_infer(image, size, taps=taps)
+    feats = tensor.Tensor(taps[last].data.copy(), requires_grad=True)
+    logits = model.head.forward(layers.global_avg_pool(feats), False)
+    mask = np.zeros(logits.shape, dtype=np.float32)
+    mask[0, cls] = 1.0
+    tensor.backward(tensor.tsum(tensor.mul(logits, mask)))
+    alphas = feats.grad[0].astype(np.float64).mean(axis=(1, 2))
+    acts = feats.data[0].astype(np.float64)
+    return alphas, np.maximum((alphas[:, None, None] * acts).sum(axis=0), 0.0)

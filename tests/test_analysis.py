@@ -6,6 +6,7 @@ import pytest
 from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, average_accuracy,
                   build_vanilla, center_features, cka, count_flops, count_params,
                   gen_shapes, grad_cam, layerwise_cka, pca_project)
+from msun import tensor
 from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm, tap_activations
 from msun.layers import Conv2d
 
@@ -338,6 +339,35 @@ class TestGradCam:
         cam = grad_cam(model, image, 3, native_size=20)
         assert cam.values.shape == (4, 4)
         assert np.all(cam.values >= 0.0)
+
+    @pytest.mark.parametrize("size", [24, 17], ids=["native", "offsize"])
+    @pytest.mark.parametrize("method", ["msun", "vanilla"])
+    @pytest.mark.parametrize("kind", ["plain", "residual"])
+    def test_matches_taped_definition(self, kind, method, size):
+        # 3x3 features: dividing by h*w = 9 rounds, so the weights' bits show
+        # whether the division runs in float32 as the pooling's backward does
+        spec = BackboneSpec((8, 16), (1, 1), kind, 4, 24)
+        model = MsunModel(spec, ScaleSet([12, 24]), 1, Rng(7)) if method == "msun" \
+            else build_vanilla(spec, Rng(7))
+        oracles.perturbed_batch_norms(model, Rng(8))
+        image = gen_shapes(3, 2, 4, size).images[:1]
+        for cls in range(4):
+            cam = grad_cam(model, image, cls, native_size=size)
+            alphas, want = oracles.grad_cam_taped(model, image, cls, size)
+            assert np.array_equal(cam.channel_weights, alphas), cls
+            assert np.abs(cam.values - want).max() <= 1e-4 * want.max(), cls
+
+    def test_writes_no_gradient_and_records_no_tape(self, monkeypatch):
+        model, image = self._model_and_image()
+        for p in model.parameters():
+            p.grad = np.full_like(p.data, 7.0)
+
+        def no_tape(*args):
+            raise AssertionError("recorded a tape node")
+
+        monkeypatch.setattr(tensor, "TapeNode", no_tape)
+        grad_cam(model, image, 1)
+        assert all(np.all(p.grad == 7.0) for p in model.parameters())
 
 
 class TestPca:

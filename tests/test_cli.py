@@ -10,7 +10,7 @@ import pytest
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
 from msun.checkpoint import save_model
-from msun import cli, config, data, experiments
+from msun import cli, config, data, experiments, tensor
 from msun.cli import main
 from msun.data import gen_shapes, load_idx
 
@@ -23,6 +23,21 @@ def trained(tmp_path_factory):
     code = main(["train", "--method", "msun", "--config", TINY_CFG, "--out", out])
     assert code == 0
     return out
+
+
+def test_analysis_commands_record_no_tape(trained, tmp_path, monkeypatch, capsys):
+    def no_tape(*args):
+        raise AssertionError("recorded a tape node")
+
+    monkeypatch.setattr(tensor, "TapeNode", no_tape)
+    ckpt = os.path.join(trained, "checkpoint.msun")
+    for argv in (["eval", "--sizes", "16,32", "--config", TINY_CFG],
+                 ["cka", "--scales", "16,32", "--config", TINY_CFG],
+                 ["flops", "--size", "32"],
+                 ["gradcam", "--class", "1", "--config", TINY_CFG,
+                  "--out", str(tmp_path / "cam.pgm")],
+                 ["pca", "--config", TINY_CFG]):
+        assert main(argv + ["--checkpoint", ckpt]) == 0, argv[0]
 
 
 class TestHelp:

@@ -461,11 +461,10 @@ class TestBatchNorm:
             assert a.dtype == np.float32, name
             assert np.abs(a - b).max() <= 1e-6 * np.abs(b).max(), name
 
-    # a tolerance test since batch norm's fused arithmetic; the name is the cases' stable ID
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("shape", [(13, 8, 16, 16), (16, 8, 32, 32), (5, 16, 3, 5)],
                              ids=str)
-    def test_bit_identical_to_formulas(self, shape, train):
+    def test_matches_formulas(self, shape, train):
         self._check_against_formulas(shape, train)
 
     def test_desk_stem_shape_matches_formulas(self):

@@ -294,27 +294,13 @@ def _fold_models():
 FOLD_MODELS = _fold_models()
 
 
-def _perturbed_batch_norms(model, rng):
-    """Set every batch norm's affine and each running-statistics set off their
-    initial values, so a fold that drops a term shows."""
-    for _, layer in model.named_layers():
-        if isinstance(layer, layers.BatchNorm2d):
-            c = layer.gamma.shape[0]
-            layer.gamma.data[:] = 0.5 + rng.uniform((c,))
-            layer.beta.data[:] = 0.2 * rng.normal((c,))
-            for mean, var in zip(layer.running_means, layer.running_vars):
-                mean[:] = 0.3 * rng.normal((c,))
-                var[:] = 0.5 + rng.uniform((c,))
-    return model.eval()
-
-
 class TestBatchNormFold:
     """A forward-only eval pass convolves with each batch norm folded into the
     conv before it; taped passes and training run conv then batch norm."""
 
     @pytest.mark.parametrize("name", FOLD_MODELS)
     def test_forward_only_matches_taped_on_every_branch(self, name):
-        model = _perturbed_batch_norms(FOLD_MODELS[name](), Rng(40))
+        model = oracles.perturbed_batch_norms(FOLD_MODELS[name](), Rng(40))
         rng = Rng(41)
         for i, size in enumerate(model.scales):
             for channels in (3, 1):   # grey inputs take the channel-summed stem
@@ -340,8 +326,9 @@ class TestBatchNormFold:
         with no_grad():
             model.forward_infer(images, 20)
             model.forward_infer(images, 32)
+        grad_cam(model, images[:1], 1)
         assert bn_calls == []
-        grad_cam(model, images[:1], 1)   # a taped eval pass: stem, 2 + 3 in the blocks
+        model.forward_infer(images[:1], 32)   # a taped eval pass: stem, 2 + 3 in the blocks
         assert bn_calls == [False] * 6
         bn_calls.clear()
         model.train()

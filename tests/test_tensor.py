@@ -148,16 +148,6 @@ class TestBackward:
         backward(loss)
         assert np.array_equal(x.grad, arr(2, -4, 6))
 
-    def test_retain_grad_after_consumer_recorded(self):
-        x = Tensor(arr(1, 2), requires_grad=True)
-        h = mul(x, x)
-        loss = tsum(mul(h, h))
-        h.retain_grad()                 # after its consumer was recorded
-        x.zero_grad()
-        backward(loss)
-        assert np.array_equal(h.grad, 2 * h.data)
-        assert np.array_equal(x.grad, 4 * x.data ** 3)
-
     def test_deep_chain_and_determinism(self):
         def run():
             w = Tensor(arr(0.1, -0.25), requires_grad=True)
