@@ -6,11 +6,15 @@ never an input tensor, and computes no gradient for an operand that does not
 require grad. A pass that records no tape builds no buffer that only a
 backward reads (max-pool masks).
 
-Conv is im2col + GEMM over blocks of a few samples, so each pass over memory
-stays in cache. Its rule keeps the input, not the columns, and refills one
-block of columns at a time for the weight gradient; the input gradient is
-summed in stride-phase planes. Max-pool is a running maximum with per-offset
-first-max masks.
+Conv is im2col + GEMM over blocks of samples, so each pass over memory stays
+in cache: a window pass takes as many samples as fit ``_BLOCK_BYTES`` of its
+per-sample scratch, at least one. That scratch is the columns and padded
+input for the forward and the weight gradient, and the widened GEMM rows
+and phase planes for the input gradient. Its rule keeps the input, not the
+columns, and refills one block of columns at a time for the weight
+gradient; the input gradient is summed in stride-phase planes. Max-pool is a running maximum
+with per-offset first-max masks; windows that do not overlap write each
+input element's gradient once, and overlapping windows accumulate it.
 
 Three rewrites are exact in real arithmetic but round differently from the
 textbook form, so tests hold them to tolerances:
@@ -38,8 +42,14 @@ from .rng import Rng
 from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 
-_BLOCK = 8   # samples per window block; its columns and planes stay in cache
+_BLOCK_BYTES = 800 << 10   # scratch per window block: 8 samples of the grey 64 px stem's columns
 BN_EPS = 1e-5   # batch norm's variance floor
+
+
+def _block(n: int, sample_bytes: int) -> int:
+    """Samples per window block: as many as fit ``_BLOCK_BYTES`` of per-sample
+    scratch, at least one and at most ``n``."""
+    return min(n, max(1, _BLOCK_BYTES // sample_bytes))
 
 
 def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
@@ -70,7 +80,7 @@ def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
     span = (c - 1) * plane + (ho - 1) * wq + wo
     wt = np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(m, k * k * c).T
     dt = np.result_type(wt, g4)
-    cap = min(n, _BLOCK)
+    cap = _block(n, m * ho * wq * g4.itemsize + (k * k + s * s) * c * plane * dt.itemsize)
     gwide = np.zeros((cap, m, ho, wq), dtype=g4.dtype)
     gcols = np.zeros((cap, k, k, c * plane), dtype=dt)
     gemm_out = gcols.reshape(cap, k * k * c, plane)[:, :, :ho * wq]
@@ -82,8 +92,8 @@ def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
     cphases = [(c0, (c0 + pad) % s, (c0 + pad) // s, len(range(c0, w_in, s)))
                for c0 in range(min(s, w_in))]
     gx = np.empty(x_shape, dtype=dt)
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
+    for a in range(0, n, cap):
+        b = min(a + cap, n)
         nb = b - a
         gwide[:nb, :, :, :wo] = g4[a:b]
         np.matmul(wt, gwide[:nb].reshape(nb, m, ho * wq), out=gemm_out[:nb])
@@ -103,12 +113,14 @@ def _conv_input_grad(w: np.ndarray, g4: np.ndarray, x_shape, stride: int,
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation with zero padding; bias added per output channel.
 
-    The im2col columns are filled ``_BLOCK`` samples at a time, by one copy
-    from a window view of the (padded) block, and each block's per-sample
-    GEMMs run while it is still in cache. No column buffer outlives a pass:
-    the backward rule keeps the input array and refills each block's columns
-    with the forward's own fill right before that block's weight-gradient
-    GEMM, so taped and forward-only passes run one path.
+    The im2col columns are filled a block of samples at a time, as many as
+    fit ``_BLOCK_BYTES`` of columns and padded input, by one copy from a
+    window view of the (padded) block, and each block's per-sample GEMMs run
+    while it is still in cache; the block size changes no bit of the result.
+    No column buffer outlives a pass: the backward rule keeps the input
+    array and refills each block's columns with the forward's own fill right
+    before that block's weight-gradient GEMM, so taped and forward-only
+    passes run one path.
 
     A one-channel input against a weight with ``cin > 1`` channels is read
     as that channel repeated ``cin`` times (a grey image). Since
@@ -134,16 +146,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     xd, wd = x.data, weight.data
     w2 = (wd.sum(axis=1) if c < cin else wd).reshape(m, c * k * k)
 
+    cap = _block(n, c * (k * k * ho * wo + (hp * wp if pad else 0)) * xd.itemsize)
+
     def operands():
         """Yield ``(a, b, cols)``: samples [a, b)'s columns, ``[b - a, c * k * k, ho * wo]``."""
-        cols = np.empty((min(n, _BLOCK), c, k, k, ho, wo), dtype=xd.dtype)
+        cols = np.empty((cap, c, k, k, ho, wo), dtype=xd.dtype)
         # one window view a pass: over the input, or over the pad buffer each block refills
-        src = np.zeros((min(n, _BLOCK), c, hp, wp), dtype=xd.dtype) if pad else xd
+        src = np.zeros((cap, c, hp, wp), dtype=xd.dtype) if pad else xd
         s0, s1, s2, s3 = src.strides
         windows = as_strided(src, (len(src), c, k, k, ho, wo),
                              (s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
-        for a in range(0, n, _BLOCK):
-            nb = min(a + _BLOCK, n) - a
+        for a in range(0, n, cap):
+            nb = min(a + cap, n) - a
             if pad:
                 src[:nb, :, pad:pad + h, pad:pad + w] = xd[a:a + nb]
             np.copyto(cols[:nb], windows[:nb] if pad else windows[a:a + nb])
@@ -204,9 +218,11 @@ def maxpool2d(x: Tensor, window: int, stride: Optional[int] = None) -> Tensor:
 
     The forward is a running maximum over the window offsets' strided views.
     A recorded node marks each window's first maximum with one mask per
-    offset, and its rule keeps those masks, not the input; the backward adds
-    ``g * mask`` into that offset's view of the input gradient, so disjoint
-    and overlapping windows share one path.
+    offset, and its rule keeps those masks, not the input. When windows do
+    not overlap (stride >= window), the backward writes ``g * mask`` once
+    into each offset's view of the input gradient and zeroes only what no
+    window covers; ``g * 0`` there is a zero with ``g``'s sign. Overlapping
+    windows add ``g * mask`` into a zeroed gradient.
     """
     stride = window if stride is None else stride
     n, c, h, w = x.shape
@@ -225,12 +241,22 @@ def maxpool2d(x: Tensor, window: int, stride: Optional[int] = None) -> Tensor:
         _note_branch(arg.astype(np.uint8).tobytes())
 
     def grad_fn(g):
-        gx = np.zeros((n, c, h, w), dtype=g.dtype)
-        # offsets in reverse: an input element shared by overlapping windows
-        # then gets its terms in row-major window order
-        for view, mask in zip(reversed(_pool_views(gx, window, stride, ho, wo)),
-                              reversed(masks)):
-            view += g * mask
+        if stride < window:
+            gx = np.zeros((n, c, h, w), dtype=g.dtype)
+            # offsets in reverse: an input element shared by overlapping
+            # windows then gets its terms in row-major window order
+            for view, mask in zip(reversed(_pool_views(gx, window, stride, ho, wo)),
+                                  reversed(masks)):
+                view += g * mask
+            return (gx,)
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        for r in range(window, stride):   # the gaps between windows
+            gx[:, :, r::stride] = 0
+            gx[:, :, :, r::stride] = 0
+        gx[:, :, ho * stride:] = 0        # the remainder past the last window
+        gx[:, :, :, wo * stride:] = 0
+        for view, mask in zip(_pool_views(gx, window, stride, ho, wo), masks):
+            np.multiply(g, mask, out=view)
         return (gx,)
 
     return from_op(out, "maxpool2d", (x,), grad_fn)

@@ -96,7 +96,14 @@ def _conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor, train: bool, stat_set=-1)
 
 
 class ConvBlock:
-    """conv k x k (padding k // 2) -> BN -> ReLU, then a max-pool if ``pool``."""
+    """conv k x k (padding k // 2) -> BN -> ReLU, with a max-pool if ``pool``.
+
+    A pooled block pools before its ReLU. ReLU is monotone, so the values
+    equal pooling after it, and the first maximum the pool routes a gradient
+    to differs only in windows whose maximum is <= 0, where the ReLU zeroes
+    that gradient. So the two orders give equal outputs and gradients (a
+    zero's sign may differ), and the ReLU runs over the pooled elements.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int, rng: Rng,
                  n_stat_sets=1, pool=0):
@@ -105,10 +112,10 @@ class ConvBlock:
         self.pool = pool
 
     def forward(self, x, train, stat_set=-1):
-        h = _conv_bn(self.conv, self.bn, x, train, stat_set).relu()
+        h = _conv_bn(self.conv, self.bn, x, train, stat_set)
         if self.pool:
             h = maxpool2d(h, self.pool, self.pool)
-        return h
+        return h.relu()
 
     def children(self):
         return [("conv", self.conv), ("bn", self.bn)]

@@ -2,15 +2,20 @@
 
 Everything here is written as plainly as possible (nested loops, direct
 summation) and never calls into the package's own compute paths, except
-``grad_cam_taped``: Grad-CAM by its definition, differentiated on the
-package's tape, the reference for the closed form ``analysis.grad_cam`` uses.
+three references built from the package's ops: ``grad_cam_taped``, Grad-CAM
+by its definition, differentiated on the package's tape, the reference for
+the closed form ``analysis.grad_cam`` uses; ``conv_block_relu_then_pool``,
+a pooled conv block in its textbook order; and ``shadow_step_error``, which
+measures a float32 training step against the same step in float64.
 ``perturbed_batch_norms`` sets up the models that the eval-fold tests and
-that reference run on.
+the Grad-CAM reference run on.
 """
+
+import copy
 
 import numpy as np
 
-from msun import layers, tensor
+from msun import layers, model as msun_model, tensor
 
 
 def conv2d_loops(x, w, b, stride, pad):
@@ -300,3 +305,40 @@ def grad_cam_taped(model, image, cls, size):
     alphas = feats.grad[0].astype(np.float64).mean(axis=(1, 2))
     acts = feats.data[0].astype(np.float64)
     return alphas, np.maximum((alphas[:, None, None] * acts).sum(axis=0), 0.0)
+
+
+def conv_block_relu_then_pool(block, x, train, stat_set=-1):
+    """A ``model.ConvBlock`` in the textbook order: conv, batch norm, ReLU,
+    then its max-pool."""
+    h = msun_model._conv_bn(block.conv, block.bn, x, train, stat_set).relu()
+    return layers.maxpool2d(h, block.pool, block.pool) if block.pool else h
+
+
+def shadow_step_error(model, views, labels, lam=0.1):
+    """Each parameter's gradient error in one training step on ``views``
+    (the per-scale batches, as arrays), as a share of that parameter's
+    largest gradient in the same step run on float64 copies of the
+    parameters and batch.
+
+    Both steps run ``forward_train``, ``si_loss``, ``total_loss`` and
+    ``backward`` on copies of ``model``, which is left as it is. Conv biases
+    that feed a batch norm are left out: their true gradient is zero, so a
+    share of it means nothing. The float64 step's batch-norm affine and
+    head-bias gradients are rounded to float32 by the ops that make them.
+    """
+    named = list(model.named_layers())
+    feeds_bn = {f"{name}.bias" for (name, layer), (_, after) in zip(named, named[1:])
+                if isinstance(layer, layers.Conv2d) and isinstance(after, layers.BatchNorm2d)}
+    grads = []
+    for dtype in (np.float32, np.float64):
+        step = copy.deepcopy(model)
+        for _, p in step.named_params():
+            p.data = p.data.astype(dtype)
+        step.zero_grad()
+        logits, feats = step.forward_train([tensor.Tensor(v.astype(dtype)) for v in views])
+        loss, _ = msun_model.total_loss(logits, labels, msun_model.si_loss(feats), lam)
+        tensor.backward(loss)
+        grads.append({n: p.grad.astype(np.float64) for n, p in step.named_params()
+                      if n not in feeds_bn})
+    single, double = grads
+    return {n: float(np.abs(single[n] - g).max() / np.abs(g).max()) for n, g in double.items()}

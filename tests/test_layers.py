@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msun import Rng, ShapeError, Tensor, grad_check
-from msun.layers import (_BLOCK, BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
+from msun import Rng, ShapeError, Tensor, grad_check, layers
+from msun.layers import (_BLOCK_BYTES, BatchNorm2d, Conv2d, Linear, batchnorm2d, bilinear_resize,
                          conv2d, global_avg_pool, linear, maxpool2d, resize_images,
                          softmax_cross_entropy)
 from msun.tensor import backward, mul, no_grad, record_branches, relu, tsum
@@ -154,14 +154,24 @@ class TestConv2d:
             assert out.data.dtype == taped.data.dtype
             assert np.array_equal(out.data, taped.data)
 
+    @staticmethod
+    def block_samples(n, c, size, k, ho, pad):
+        """Samples in one window block of a conv pass: as many as fit the
+        block budget with their columns and padded input, at least one."""
+        return min(n, max(1, _BLOCK_BYTES // (c * (k * k * ho * ho + (size + 2 * pad) ** 2) * 4)))
+
     def test_forward_only_keeps_one_block_of_columns(self):
-        # the 64 px stem at an eval batch of 256: its full im2col buffer is 78.6 MB
+        # the 64 px stem at an eval batch of 256: its full im2col buffer is
+        # 78.6 MB; past its output, a forward-only conv holds one block of
+        # columns and padded input
         n, c, size, m, k, stride, pad = 256, 3, 64, 8, 5, 2, 2
         rng = Rng(35)
         x = Tensor(rng.uniform((n, c, size, size)).astype(np.float32))
         wt, b = Tensor(randn(rng, (m, c, k, k), 0.3)), Tensor(randn(rng, (m,)))
         ho = (size + 2 * pad - k) // stride + 1
-        full_cols = n * c * k * k * ho * ho * 4
+        out_bytes = n * m * ho * ho * 4
+        block = self.block_samples(n, c, size, k, ho, pad) * \
+            c * (k * k * ho * ho + (size + 2 * pad) ** 2) * 4
         tracemalloc.start()
         try:
             with no_grad():
@@ -170,7 +180,8 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert out.shape == (n, m, ho, ho)
-        assert peak < full_cols / 4, f"peak {peak} bytes vs columns {full_cols}"
+        assert peak <= out_bytes + block + (1 << 16), \
+            f"peak {peak} bytes vs output {out_bytes} and one block {block}"
 
     @pytest.mark.parametrize("shape", [(1, 3, 64, 8, 5, 2, 2), (8, 8, 16, 8, 3, 1, 1)],
                              ids=["grey-stem64", "unified.block1"])
@@ -187,7 +198,7 @@ class TestConv2d:
         b = Tensor(randn(rng, (m,)), requires_grad=True)
         ho = (size + 2 * pad - k) // stride + 1
         out_bytes = n * m * ho * ho * 4
-        block = _BLOCK * c * k * k * ho * ho * 4
+        block = self.block_samples(n, c, size, k, ho, pad) * c * k * k * ho * ho * 4
         tracemalloc.start()
         try:
             out = conv2d(x, wt, b, stride, pad)
@@ -197,6 +208,29 @@ class TestConv2d:
         assert out.node is not None
         assert kept <= out_bytes + block, \
             f"kept {kept} bytes vs output {out_bytes} and one block {block}"
+
+    @pytest.mark.parametrize("budget", ["one-sample", "five-samples", "whole-batch"])
+    @pytest.mark.parametrize("shape", EXACT_SHAPES[2:5] + EXACT_SHAPES[6:] + WIDE_SHAPES[5:6],
+                             ids=str)
+    def test_block_budget_leaves_every_bit(self, monkeypatch, shape, budget):
+        # the output and all three gradients equal the whole-array im2col
+        # formulas whatever the budget, padded or not; with five samples'
+        # columns of budget the 13 samples end in a partial block
+        c, h, w, m, k, stride, pad = shape
+        n = 13
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        budgets = {"one-sample": 1, "five-samples": 5 * c * k * k * ho * wo * 4,
+                   "whole-batch": 1 << 40}
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", budgets[budget])
+        rng = Rng(3400 + h + k)
+        x, wt, b = randn(rng, (n, c, h, w)), randn(rng, (m, c, k, k), 0.3), randn(rng, (m,))
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
+                     Tensor(b, requires_grad=True), stride, pad)
+        g = randn(rng, out.shape)
+        got = (out.data,) + tuple(out.node.grad_fn(g))
+        for name, a, want in zip(("out", "gx", "gw", "gb"), got,
+                                 oracles.conv2d_im2col(x, wt, b, g, stride, pad)):
+            assert a.dtype == want.dtype and np.array_equal(a, want), name
 
     # (input channels, weight channels, size, out channels, kernel, stride,
     # pad): the grey 64 px stem and unified.block1
@@ -303,10 +337,13 @@ class TestMaxPool:
         backward(tsum(maxpool2d(x, 2, 2)))
         assert np.array_equal(x.grad[0, 0], np.array([[1, 0], [0, 0]], dtype=np.float32))
 
-    # (shape, window, stride): disjoint, stride > window, stride < window
-    # (up to nine windows share an element), odd sizes
-    EXACT_CASES = [((3, 4, 8, 8), 2, 2), ((2, 3, 9, 7), 2, 3), ((2, 3, 7, 7), 3, 1),
-                   ((2, 2, 9, 9), 3, 2), ((1, 2, 11, 10), 2, 1)]
+    # (shape, window, stride). Windows that do not overlap write their
+    # gradient once: tiled, tiled with a remainder row and column, and
+    # stride > window (gaps between windows, with and without a remainder).
+    # Overlapping windows accumulate: up to nine windows share an element.
+    EXACT_CASES = [((3, 4, 8, 8), 2, 2), ((2, 3, 9, 7), 2, 2), ((2, 2, 11, 10), 3, 3),
+                   ((2, 3, 9, 7), 2, 3), ((2, 2, 12, 13), 3, 5),
+                   ((2, 3, 7, 7), 3, 1), ((2, 2, 9, 9), 3, 2), ((1, 2, 11, 10), 2, 1)]
 
     @pytest.mark.parametrize("post_relu", [False, True])
     @pytest.mark.parametrize("case", EXACT_CASES, ids=str)

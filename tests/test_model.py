@@ -1,5 +1,6 @@
 """Multi-scale model core: construction, routing, losses, training step."""
 
+import copy
 import dataclasses
 import hashlib
 import os
@@ -15,9 +16,9 @@ from msun.analysis import count_params, grad_cam
 from msun.config import load_config
 from msun.data import gen_shapes, make_multiscale
 from msun.layers import bilinear_resize, resize_images
-from msun.model import LossBreakdown, _step_with_logits
+from msun.model import ConvBlock, LossBreakdown, _conv_bn, _step_with_logits
 from msun.optim import SGD
-from msun.tensor import backward, grad_check, maximum_scalar, no_grad
+from msun.tensor import backward, grad_check, maximum_scalar, mul, no_grad, tsum
 
 import oracles
 
@@ -554,3 +555,137 @@ class TestFullLossGradients:
             return loss
 
         assert grad_check(full_loss, x, skip_nonsmooth=True) < 1e-3
+
+
+def _shadow_cases():
+    """(model, per-scale batch arrays, labels) builders: the desk msun and
+    vanilla models on a first batch of desk data, a tiny-shape residual
+    model on a tiny batch, and the desk msun model after three SGD steps."""
+    desk, tiny = load_config(DESK_CFG), load_config(TINY_CFG, {"model.kind": "residual"})
+
+    def batches(cfg, n, batch_size):
+        ds = gen_shapes(0, n, cfg["data.classes"], cfg["data.native"])
+        return make_multiscale(ds, cfg.scales(), batch_size, 0)
+
+    def desk_msun():
+        batch = next(batches(desk, 128, 128))
+        model = MsunModel(desk.backbone(), desk.scales(), 1, Rng(0)).train()
+        return model, batch.images, batch.labels
+
+    def desk_vanilla():
+        batch = next(batches(desk, 128, 128))
+        return build_vanilla(desk.backbone(), Rng(0)).train(), batch.images[-1:], batch.labels
+
+    def tiny_residual():
+        batch = next(batches(tiny, 64, 64))
+        model = MsunModel(tiny.backbone(), tiny.scales(), 1, Rng(0)).train()
+        return model, batch.images, batch.labels
+
+    def desk_msun_trained():
+        it = batches(desk, 512, 128)
+        model = MsunModel(desk.backbone(), desk.scales(), 1, Rng(0)).train()
+        opt = SGD(model.named_params(), 0.9, 2e-5)
+        for _ in range(3):
+            batch = next(it)
+            _step_with_logits(model, [Tensor(v) for v in batch.images], batch.labels,
+                              opt, 0.1, 0.1)
+        batch = next(it)
+        return model, batch.images, batch.labels
+
+    return {"desk-msun": desk_msun, "desk-vanilla": desk_vanilla,
+            "tiny-residual": tiny_residual, "desk-msun-3-steps": desk_msun_trained}
+
+
+SHADOW_CASES = _shadow_cases()
+
+
+class TestShadowStep:
+    """A float32 training step against the same step on float64 copies."""
+
+    # each case's worst error when the bound was set, and the bound: twice
+    # that. Rewrites exact in real arithmetic (reductions reordered or fused)
+    # read up to 1.3x the desk msun reading; batch-norm reductions in
+    # float32 read 4x it.
+    READINGS = {"desk-msun": 5.10e-7, "desk-msun-3-steps": 8.69e-7,
+                "desk-vanilla": 8.50e-7, "tiny-residual": 4.34e-7}
+
+    @pytest.mark.parametrize("case", sorted(SHADOW_CASES))
+    def test_worst_gradient_error_is_bounded(self, case):
+        model, views, labels = SHADOW_CASES[case]()
+        params_before = {n: p.data.copy() for n, p in model.named_params()}
+        errors = oracles.shadow_step_error(model, views, labels)
+        biases = {n for n in params_before if n.endswith(".bias")}
+        assert set(errors) == set(params_before) - (biases - {"head.bias"}), case
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 2 * self.READINGS[case], (worst, errors[worst])
+        assert all(np.array_equal(p.data, params_before[n]) for n, p in model.named_params())
+
+
+def _planted_stem(n=16):
+    """The desk 64 px stem block and an input whose pooled windows, at the
+    batch norm's output, include ties, all-negative windows and exact +0.0
+    next to negatives."""
+    block = ConvBlock(3, 8, 5, 2, Rng(21), pool=2)
+    rng = Rng(22)
+    block.conv.bias.data[:] = 0.1 * rng.normal((8,))
+    x = rng.uniform((n, 3, 64, 64)).astype(np.float32)
+    x[:, :, 8:40, 8:40] = 0   # conv output rows and columns 5-18 equal the bias
+    probe = copy.deepcopy(block)
+    probe.bn.beta.data[:] = 0
+    at_bias = _conv_bn(probe.conv, probe.bn, Tensor(x), True).data[0, :, 10, 10]
+    # a constant region of exact +0.0, below zero and above zero per channel
+    block.bn.beta.data[:] = -at_bias + np.array([0, 0, 0, -0.5, -0.5, -0.5, 0.5, 0.5],
+                                                np.float32)
+    return block, x
+
+
+class TestPooledBlockOrder:
+    """A pooled ConvBlock pools before its ReLU. Against the textbook order
+    (ReLU, then pool) its outputs, gradients and running buffers are equal,
+    bit for bit but for the sign of a zero (``np.array_equal`` counts -0.0
+    equal to +0.0)."""
+
+    def test_planted_windows(self):
+        block, x = _planted_stem()
+        pre = _conv_bn(block.conv, block.bn, Tensor(x), True).data
+        windows = pre.reshape(16, 8, 16, 2, 16, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+            16, 8, 16, 16, 4)
+        top = windows.max(axis=4)
+        ties = (windows == top[..., None]).sum(axis=4) > 1
+        assert (top < 0).any() and (ties & (top < 0)).any() and (ties & (top > 0)).any()
+        zero_top = (top == 0) & (windows < 0).any(axis=4)
+        assert zero_top.any() and (ties & (top == 0)).any()
+
+    def test_taped_pass_matches_relu_then_pool(self):
+        block, x = _planted_stem()
+        ref = copy.deepcopy(block)
+        g = Rng(23).normal((16, 8, 16, 16)).astype(np.float32)
+        got = []
+        for run in (lambda t: block.forward(t, True),
+                    lambda t: oracles.conv_block_relu_then_pool(ref, t, True)):
+            xt = Tensor(x, requires_grad=True)
+            out = run(xt)
+            backward(tsum(mul(out, Tensor(g))))
+            got.append((out.data, xt.grad))
+        (out, gx), (want_out, want_gx) = got
+        assert out.dtype == want_out.dtype and np.array_equal(out, want_out)
+        assert gx.dtype == want_gx.dtype and np.array_equal(gx, want_gx)
+        for (name, p), (_, q) in zip(block.conv.params() + block.bn.params(),
+                                     ref.conv.params() + ref.bn.params()):
+            assert p.grad.dtype == q.grad.dtype and np.array_equal(p.grad, q.grad), name
+        for (name, a), (_, b) in zip(block.bn.buffers(), ref.bn.buffers()):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_forward_only_pass_matches_relu_then_pool(self, train):
+        # a forward-only ReLU is max(x, 0), +0.0 for every non-positive
+        # input in either order, so here the bits are equal
+        block, x = _planted_stem()
+        ref = copy.deepcopy(block)
+        with no_grad():
+            out = block.forward(Tensor(x), train)
+            want = oracles.conv_block_relu_then_pool(ref, Tensor(x), train)
+        assert out.node is None and want.node is None
+        assert np.array_equal(out.data.view(np.uint32), want.data.view(np.uint32))
+        for (name, a), (_, b) in zip(block.bn.buffers(), ref.bn.buffers()):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
