@@ -171,6 +171,12 @@ def load_model(path: str) -> MsunModel:
         raise SnapshotError(f"{path}: tensor names do not match the architecture "
                             f"(missing {missing}, unexpected {extra})")
     for name, arr in tensors.items():
+        # a trained model holds only finite values, and a variance is never
+        # negative; either would evaluate to a number that means nothing
+        if not np.all(np.isfinite(arr)):
+            raise SnapshotError(f"{path}: {name} holds a non-finite value")
+        if "running_var" in name.split(".") and np.any(arr < 0):
+            raise SnapshotError(f"{path}: {name} holds a negative running variance")
         if name in expected:
             if expected[name].data.shape != arr.shape:
                 raise SnapshotError(f"{path}: {name} has shape {arr.shape}, "

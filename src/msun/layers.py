@@ -1,10 +1,13 @@
 """CNN building blocks: conv, pooling, batch norm, linear, losses, resize.
 
 Each op is one tape node with a hand-derived backward rule, in float32 with
-float64 statistics and loss reductions. A rule captures the arrays it reads,
-never an input tensor, and computes no gradient for an operand that does not
-require grad. A pass that records no tape builds no buffer that only a
-backward reads (max-pool masks).
+float64 loss reductions. Per-channel sums (batch norm's statistics and
+reductions, the conv bias gradient) run in two stages: each (sample,
+channel) plane pairwise in float32, then the plane sums in float64
+(``_channel_sum``). A rule captures the arrays it reads, never an input
+tensor, and computes no gradient for an operand that does not require grad.
+A pass that records no tape builds no buffer that only a backward reads
+(max-pool masks).
 
 Conv is im2col + GEMM over blocks of samples, so each pass over memory stays
 in cache: a window pass takes as many samples as fit ``_BLOCK_BYTES`` of its
@@ -16,11 +19,12 @@ gradient; the input gradient is summed in stride-phase planes. Max-pool is a run
 with per-offset first-max masks; windows that do not overlap write each
 input element's gradient once, and overlapping windows accumulate it.
 
-Three rewrites are exact in real arithmetic but round differently from the
+Four rewrites are exact in real arithmetic but round differently from the
 textbook form, so tests hold them to tolerances:
 
+- the two-stage per-channel sums, against a float64 sum of every element;
 - batch norm applies normalization and affine as one per-channel scale of
-  the centred input, and its backward needs two float64 reductions;
+  the centred input, and its backward needs two channel reductions;
 - ``BatchNorm2d.folded`` composes eval-mode batch norm with the conv before
   it, and the model's forward-only eval passes run that one convolution;
 - a one-channel (grey) input is convolved with the weight summed over its
@@ -44,6 +48,13 @@ from .tensor import DTYPE, ShapeError, Tensor, from_op, records, _note_branch
 
 _BLOCK_BYTES = 800 << 10   # scratch per window block: 8 samples of the grey 64 px stem's columns
 BN_EPS = 1e-5   # batch norm's variance floor
+
+
+def _channel_sum(x: np.ndarray) -> np.ndarray:
+    """Per-channel float64 sum of an ``[N, C, ...]`` array, in two stages: each
+    (sample, channel) plane pairwise in ``x``'s dtype, then the ``N`` plane
+    sums in float64, in sample order."""
+    return x.reshape(x.shape[0], x.shape[1], -1).sum(axis=2).sum(axis=0, dtype=np.float64)
 
 
 def _block(n: int, sample_bytes: int) -> int:
@@ -117,6 +128,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     fit ``_BLOCK_BYTES`` of columns and padded input, by one copy from a
     window view of the (padded) block, and each block's per-sample GEMMs run
     while it is still in cache; the block size changes no bit of the result.
+    The bias gradient is ``_channel_sum`` of the output gradient.
     No column buffer outlives a pass: the backward rule keeps the input
     array and refills each block's columns with the forward's own fill right
     before that block's weight-gradient GEMM, so taped and forward-only
@@ -178,7 +190,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         gw = per_sample.sum(axis=0).reshape(m, c, k, k)
         if c < cin:                               # the summed weight's gradient, per channel
             gw = np.repeat(gw, cin, axis=1)
-        gb = g3.sum(axis=(0, 2), dtype=np.float64).astype(b_dtype)
+        gb = _channel_sum(g3).astype(b_dtype)
         if not x_grad:                            # raw images: no input gradient
             return None, gw, gb
         return _conv_input_grad(wd, g.reshape(n, m, ho, wo), x_shape, stride, pad), gw, gb
@@ -307,20 +319,25 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     the running buffers in place; eval mode depends only on the buffers.
     The normalization and the affine are one per-channel scale: with
     ``xc = x - mean`` and ``a = gamma / std``, the output is ``xc * a + beta``.
-    The rule keeps ``xc``, not ``xc / std``, and its backward (Ioffe &
-    Szegedy 2015) needs two float64 reductions, ``dbeta = sum(g)`` and
-    ``sgx = sum(g * xc)``: ``dgamma = sgx / std``, and in train mode
-    ``gx = (g - dbeta / m - xc * sgx / (var + eps) / m) * a`` over the ``m``
-    elements of a channel.
+    Train mode squares ``xc`` into the buffer that becomes the output, so it
+    allocates two full-size arrays. The rule keeps ``xc``, not ``xc / std``,
+    and its backward (Ioffe & Szegedy 2015) needs two channel reductions,
+    ``dbeta = sum(g)`` and ``sgx = sum(g * xc)``: ``dgamma = sgx / std``, and
+    in train mode ``gx = (g - dbeta / m - xc * sgx / (var + eps) / m) * a``
+    over the ``m`` elements of a channel. The mean, the variance, ``dbeta``
+    and ``sgx`` are ``_channel_sum``s: float32 within each (sample, channel)
+    plane, float64 across samples.
     """
     n, c, h, w = x.shape
     dt = x.data.dtype
     if gamma.shape != (c,):
         raise ShapeError(f"batchnorm: {c} channels vs gamma {gamma.shape}")
+    m = n * h * w
     if train:
-        mu = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
+        mu = _channel_sum(x.data) / m
         xc = x.data - mu[None, :, None, None].astype(dt)
-        var = np.mean(xc * xc, axis=(0, 2, 3), dtype=np.float64)
+        sq = xc * xc
+        var = _channel_sum(sq) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.astype(DTYPE)
         running_var *= 1.0 - momentum
@@ -328,16 +345,16 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     else:
         var = running_var.astype(np.float64)
         xc = x.data - running_mean[None, :, None, None].astype(dt)
+        sq = None
     a, std = _bn_scale(gamma.data, var)
     a = a.astype(dt)[None, :, None, None]
-    out = xc * a
+    out = np.multiply(xc, a, out=sq)   # train mode reuses the squares' buffer
     out += beta.data[None, :, None, None]
-    m = n * h * w
 
     def grad_fn(g):
-        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64)
+        dbeta = _channel_sum(g)
         t = g * xc
-        sgx = t.sum(axis=(0, 2, 3), dtype=np.float64)
+        sgx = _channel_sum(t)
         dgamma = (sgx / std).astype(DTYPE)
         if not train:
             np.multiply(g, a, out=t)

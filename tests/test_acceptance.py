@@ -279,13 +279,17 @@ def test_criterion_6_desk_scale_trends(trend_protocol):
     flops_ok = all(runs[s]["msun"]["report"].mean_flops
                    < runs[s]["vanilla"]["report"].mean_flops for s in SEEDS)
     elapsed = trend_protocol["elapsed"]
+    # each seed's 16 px, 64 px and sweep-average accuracy per method
+    per_seed = "; ".join(
+        f"seed {s} {m} {r.rows[0].accuracy:.4f}/{r.rows[-1].accuracy:.4f}/{r.average:.4f}"
+        for s in SEEDS for m in ("vanilla", "mst", "msun") for r in [runs[s][m]["report"]])
     check(6, "multi-branch training beats the fixed-size baseline by >= 10 points "
              "at 16px, stays within 3 points at 64px, beats multi-scale-training "
              "on average, and costs fewer mean FLOPs, in under 20 CPU-minutes",
           gap16 >= 0.10 and gap64 <= 0.03 and avg_gap >= 0.0 and flops_ok
           and elapsed < 1200,
           f"gap16={gap16:.3f}, gap64={gap64:.3f}, avg_gap={avg_gap:.3f}, "
-          f"elapsed={elapsed:.0f}s")
+          f"elapsed={elapsed:.0f}s; 16px/64px/average: {per_seed}")
 
 
 @pytest.mark.slow

@@ -9,7 +9,7 @@ import pytest
 
 from msun import BackboneSpec, MsunModel, Rng, ScaleSet
 from msun.analysis import parse_pgm
-from msun.checkpoint import save_model
+from msun.checkpoint import load_model, load_snapshot, model_state, save_model, save_snapshot
 from msun import cli, config, data, experiments, tensor
 from msun.cli import main
 from msun.data import gen_shapes, load_idx
@@ -200,6 +200,31 @@ class TestHostileConfigs:
 class TestEval:
     def test_unknown_checkpoint_exits_2(self, capsys):
         assert main(["eval", "--checkpoint", "/missing.msun", "--sizes", "16"]) == 2
+
+    @pytest.mark.parametrize("name, defect", [("head.weight", "nan"),
+                                              ("unified.block1.bn.running_var", "negated")])
+    def test_invalid_value_exits_4_naming_the_tensor(self, trained, name, defect, tmp_path,
+                                                      capsys):
+        tensors, scales = load_snapshot(os.path.join(trained, "checkpoint.msun"))
+        if defect == "nan":
+            tensors[name][...] = np.nan
+        else:
+            tensors[name] *= -1
+        path = str(tmp_path / "bad.msun")
+        save_snapshot(path, tensors, scales)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", path, "--sizes", "16,32", "--config", TINY_CFG])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert name in err and "file format error" in err
+
+    def test_valid_checkpoint_loads_bit_for_bit(self, trained):
+        path = os.path.join(trained, "checkpoint.msun")
+        tensors, _ = load_snapshot(path)
+        loaded = model_state(load_model(path))
+        assert list(loaded) == list(tensors)
+        for name, arr in tensors.items():
+            assert loaded[name].tobytes() == arr.tobytes(), name
 
     def test_single_size_average_equals_entry(self, trained, capsys):
         code = main(["eval", "--checkpoint", os.path.join(trained, "checkpoint.msun"),

@@ -1,5 +1,6 @@
 """Layer forward oracles and backward checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,24 @@ SQ = lambda y: tsum(mul(y, y))
 
 def randn(rng, shape, scale=1.0, offset=0.0):
     return (rng.normal(shape) * scale + offset).astype(np.float32)
+
+
+def assert_bias_grad_close(gb, g, want):
+    """``gb`` sums each (sample, channel) plane of ``g`` in float32 before the
+    float64 sum over samples, so per channel it lies within 1e-7 of
+    ``sum |g|``, plus one unit in the last place of ``want`` for the cast,
+    of the float64 formula ``want``."""
+    bound = 1e-7 * np.abs(g).sum(axis=(0, 2, 3), dtype=np.float64) + np.spacing(np.abs(want))
+    assert gb.dtype == want.dtype and np.all(np.abs(gb.astype(np.float64) - want) <= bound)
+
+
+def assert_matches_im2col(out, g, want):
+    """A taped conv's output and its gradients for ``g`` against
+    ``oracles.conv2d_im2col``'s ``want``: bit for bit but the bias gradient."""
+    got = (out.data,) + tuple(out.node.grad_fn(g))
+    for name, a, ref in zip(("out", "gx", "gw"), got, want):
+        assert a.dtype == ref.dtype and np.array_equal(a, ref), name
+    assert_bias_grad_close(got[3], g, want[3])
 
 
 class TestConv2d:
@@ -84,10 +103,7 @@ class TestConv2d:
         out = conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
                      Tensor(b, requires_grad=True), stride, pad)
         g = randn(rng, out.shape)
-        got = (out.data,) + tuple(out.node.grad_fn(g))
-        for name, a, want in zip(("out", "gx", "gw", "gb"), got,
-                                 oracles.conv2d_im2col(x, wt, b, g, stride, pad)):
-            assert a.dtype == want.dtype and np.array_equal(a, want), name
+        assert_matches_im2col(out, g, oracles.conv2d_im2col(x, wt, b, g, stride, pad))
 
     @pytest.mark.parametrize("n", [13, 16, 128])   # 128 is the desk batch
     @pytest.mark.parametrize("shape", EXACT_SHAPES[:3], ids=str)
@@ -227,10 +243,7 @@ class TestConv2d:
         out = conv2d(Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True),
                      Tensor(b, requires_grad=True), stride, pad)
         g = randn(rng, out.shape)
-        got = (out.data,) + tuple(out.node.grad_fn(g))
-        for name, a, want in zip(("out", "gx", "gw", "gb"), got,
-                                 oracles.conv2d_im2col(x, wt, b, g, stride, pad)):
-            assert a.dtype == want.dtype and np.array_equal(a, want), name
+        assert_matches_im2col(out, g, oracles.conv2d_im2col(x, wt, b, g, stride, pad))
 
     # (input channels, weight channels, size, out channels, kernel, stride,
     # pad): the grey 64 px stem and unified.block1
@@ -252,7 +265,7 @@ class TestConv2d:
         backward(tsum(mul(conv2d(xt, wt_t, b_t, stride, pad), Tensor(g))))
         want = oracles.conv2d_im2col(np.repeat(x, cin // c, axis=1), wt, b, g, stride, pad)
         assert wt_t.grad.dtype == want[2].dtype and np.array_equal(wt_t.grad, want[2])
-        assert np.array_equal(b_t.grad, want[3])
+        assert_bias_grad_close(b_t.grad, g, want[3])
         if c == cin:
             assert np.array_equal(xt.grad, want[1])
 
@@ -425,6 +438,47 @@ class TestGlobalAvgPool:
         assert grad_check(lambda t: SQ(global_avg_pool(t)), x) < 1e-3
 
 
+class TestChannelSum:
+    """``layers._channel_sum`` against the correctly rounded per-channel sum."""
+
+    CASES = {
+        "offset": lambda rng: randn(rng, (128, 8, 32, 32), 1.0, 1e3),
+        "squares": lambda rng: randn(rng, (128, 8, 16, 16)) ** 2,
+        "mixed-signs": lambda rng: randn(rng, (128, 16, 8, 8)) * np.float32(10.0) ** np.floor(
+            6 * rng.uniform((128, 16, 8, 8)) - 3).astype(np.float32),
+        "many-samples": lambda rng: randn(rng, (4096, 2, 4, 4), 1e-3, 1.0),
+        "odd-plane": lambda rng: randn(rng, (37, 5, 7, 9), 1.0, 0.5),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_within_1e7_of_exact_sum(self, case):
+        # float32 within a plane, float64 across samples: per channel within
+        # 1e-7 of sum |x| of math.fsum; a float32 sum across samples as well
+        # reads up to 1.1e-6 on these
+        x = self.CASES[case](Rng(5200 + len(case)))
+        got = layers._channel_sum(x)
+        assert got.dtype == np.float64 and got.shape == (x.shape[1],)
+        want = np.array([math.fsum(x[:, c].ravel().tolist()) for c in range(x.shape[1])])
+        err = np.abs(got - want) / np.abs(x).sum(axis=(0, 2, 3), dtype=np.float64)
+        assert err.max() <= 1e-7, err.max()
+
+    def test_every_training_reduction_takes_it(self, monkeypatch):
+        # batch norm's mean, variance, dbeta and sgx, and the conv bias
+        # gradient, so the bound above holds for each
+        seen = []
+        monkeypatch.setattr(layers, "_channel_sum",
+                            lambda x: seen.append(x.shape) or np.zeros(x.shape[1]))
+        rng = Rng(5250)
+        x = Tensor(randn(rng, (4, 3, 6, 6)), requires_grad=True)
+        conv = Conv2d(3, 5, 3, 1, 1, rng)
+        y = conv.forward(x, True)
+        out = BatchNorm2d(5).forward(y, True)
+        g = randn(rng, out.shape)
+        out.node.grad_fn(g)
+        y.node.grad_fn(g)
+        assert seen == [(4, 5, 6, 6)] * 4 + [(4, 5, 36)]
+
+
 class TestBatchNorm:
     def test_eval_identity_with_unit_stats(self):
         layer = BatchNorm2d(3)
@@ -506,6 +560,25 @@ class TestBatchNorm:
 
     def test_desk_stem_shape_matches_formulas(self):
         self._check_against_formulas((128, 8, 32, 32), True)
+
+    def test_train_forward_allocates_two_outputs(self):
+        # the centred input, which the rule keeps, and the output, whose
+        # buffer first holds the squares the variance reads
+        shape = (128, 8, 32, 32)
+        rng = Rng(5300)
+        x = Tensor(randn(rng, shape, 2.0, 0.7), requires_grad=True)
+        gamma = Tensor(randn(rng, (8,), 0.3, 1.0), requires_grad=True)
+        beta = Tensor(randn(rng, (8,), 0.2), requires_grad=True)
+        rm, rv = np.zeros(8, np.float32), np.ones(8, np.float32)
+        out_bytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            out = batchnorm2d(x, gamma, beta, rm, rv, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.node is not None
+        assert peak <= 2 * out_bytes + (1 << 16), f"peak {peak} bytes vs output {out_bytes}"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [False, True])
