@@ -231,6 +231,8 @@ def parse_pgm(text: str) -> np.ndarray:
               for t in line.split("#")[0].split()]
     if not tokens or tokens[0] != "P2":
         raise ValueError("not an ASCII PGM (P2) file")
+    if len(tokens) < 4:
+        raise ValueError(f"PGM header has {len(tokens) - 1} of its 3 numbers")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     values = np.asarray([int(t) for t in tokens[4:]], dtype=np.int64)
     if values.size != w * h:

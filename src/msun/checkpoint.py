@@ -87,6 +87,8 @@ def load_snapshot(path: str) -> Tuple["OrderedDict[str, np.ndarray]", List[int]]
         except UnicodeDecodeError as exc:
             raise SnapshotError(f"{path}: tensor name at byte {off - name_len} "
                                 f"is not UTF-8 ({exc.reason})") from exc
+        if name in tensors:
+            raise SnapshotError(f"{path}: tensor {name!r} appears twice")
         chunk, off = take(4, off)
         rank = struct.unpack("<I", chunk)[0]
         if rank > MAX_RANK:

@@ -21,8 +21,7 @@ from .analysis import EvalReport, EvalRow, count_flops, count_params, tap_activa
 from .data import Dataset, make_multiscale, prefetch_batches, split_dataset
 from .fileio import atomic_write
 from .layers import Linear, resize_images, softmax_cross_entropy
-from .model import (BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla,
-                    subnet_layout)
+from .model import BackboneSpec, MsunModel, ScaleSet, _step_with_logits, build_vanilla
 from .optim import SGD, TrainConfig, lr_at
 from .rng import Rng
 from .tensor import NonFiniteError, Tensor
@@ -45,10 +44,18 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method == "msun" and len(self.scales) < 2:
+            raise ValueError("msun training requires at least 2 scales")
+        self.build(Rng(0))   # a spec holds only if its model builds
+
+    def build(self, rng: Rng) -> MsunModel:
+        """The method's untrained model. ``msun`` gets one subnet per scale
+        feeding the unified network. ``vanilla`` and ``mst`` share the
+        fixed-input model; they differ only in the views of each batch that
+        ``_run_training`` feeds it."""
         if self.method == "msun":
-            if len(self.scales) < 2:
-                raise ValueError("msun training requires at least 2 scales")
-            subnet_layout(self.backbone, self.scales, self.subnet_blocks)
+            return MsunModel(self.backbone, self.scales, self.subnet_blocks, rng)
+        return build_vanilla(self.backbone, rng)
 
 
 EVAL_SIZES_RULE = "at least one size, each >= 8, in ascending order"
@@ -155,18 +162,8 @@ def _run_training(spec: ExperimentSpec, model: MsunModel, train_ds: Dataset,
 
 
 def run_experiment(spec: ExperimentSpec, train_ds: Dataset, test_ds: Dataset) -> TrainResult:
-    """Build the spec's model and train it.
-
-    ``msun`` gets one subnet per scale feeding the unified network. ``vanilla``
-    and ``mst`` share the fixed-input model; they differ only in the views of
-    each batch that ``_run_training`` feeds it.
-    """
-    rng = Rng(spec.train.seed)
-    if spec.method == "msun":
-        model = MsunModel(spec.backbone, spec.scales, spec.subnet_blocks, rng)
-    else:
-        model = build_vanilla(spec.backbone, rng)
-    return _run_training(spec, model, train_ds, test_ds)
+    """Build the spec's model from its training seed and train it."""
+    return _run_training(spec, spec.build(Rng(spec.train.seed)), train_ds, test_ds)
 
 
 def _file_digest(path: str) -> str:
@@ -201,10 +198,8 @@ def eval_multiscale(model_or_path, test_ds: Dataset, sizes: Sequence[int]) -> Ev
     return EvalReport(rows)
 
 
-def linear_probe(model_or_path, target: Dataset, epochs: int = 10, seed: int = 0) -> float:
+def linear_probe(model: MsunModel, target: Dataset, epochs: int = 10, seed: int = 0) -> float:
     """Retrain only a fresh linear classifier on frozen pooled features."""
-    model = model_or_path if isinstance(model_or_path, MsunModel) \
-        else ckpt.load_model(model_or_path)
     state_before = {n: p.data.copy() for n, p in model.named_params()}
     train_ds, test_ds = split_dataset(target, 0.8, seed)
 

@@ -48,13 +48,12 @@ class BackboneSpec:
             raise FieldError("block_kind", f"unknown block kind {self.block_kind!r}")
         if self.num_classes < 1:
             raise FieldError("num_classes", f"need at least one class, got {self.num_classes}")
-        size = self.canonical_size // 4   # stem downsample
-        for i in range(1, len(self.stage_widths)):
-            size //= 2
-        if size < 1:
-            raise FieldError("canonical_size",
-                             f"stage {len(self.stage_widths) - 1} reduces spatial size "
-                             f"below 1 at canonical input {self.canonical_size}")
+        # every conv after the stem keeps at least one pixel, so only the stem can collapse
+        try:
+            _conv_pool_size(self.canonical_size, *STEMS[4])
+        except ShapeError as exc:
+            raise FieldError("canonical_size", f"canonical input {self.canonical_size}: "
+                             f"{exc}") from exc
 
     @property
     def total_blocks(self) -> int:
@@ -84,6 +83,15 @@ def route_scale(input_size: int, scales: ScaleSet) -> int:
 
 # stem (kernel, stride, pool) per downsample factor; 4 is the canonical-scale stem
 STEMS = {4: (5, 2, 2), 2: (3, 2, 0), 1: (3, 1, 0)}
+
+
+def _conv_pool_size(size: int, kernel: int, stride: int, pool: int) -> int:
+    """Side after a ``ConvBlock``: the conv (padding ``kernel // 2``), then
+    the ``pool`` max-pool if set. Raises ShapeError below 1 pixel."""
+    out = conv_out_size(size, kernel, stride, kernel // 2)
+    if pool and out < pool:
+        raise ShapeError(f"pool window {pool} exceeds spatial size {out}")
+    return out // pool if pool else out
 
 
 def _conv_bn(conv: Conv2d, bn: BatchNorm2d, x: Tensor, train: bool, stat_set=-1) -> Tensor:
@@ -124,8 +132,7 @@ class ConvBlock:
         return [("conv", self.conv, size)]
 
     def out_size(self, size):
-        out = self.conv.out_size(size)
-        return out // self.pool if self.pool else out
+        return _conv_pool_size(size, self.conv.kernel_size, self.conv.stride, self.pool)
 
 
 class ResidualBlock:
@@ -201,6 +208,11 @@ class Stack:
                 taps[prefix + name] = x
         return x
 
+    def out_size(self, size):
+        for _, block in self.blocks:
+            size = block.out_size(size)
+        return size
+
 
 def _block_plan(spec: BackboneSpec):
     """(name, kind, in_ch, out_ch, stride) for every block in order, stem
@@ -241,51 +253,21 @@ class LossBreakdown:
         return float(sum(self.ce_per_scale))
 
 
-def subnet_layout(spec: BackboneSpec, scales: ScaleSet, subnet_blocks: int):
-    """Check that ``subnet_blocks`` subnets at ``scales`` fit ``spec``.
-
-    Returns each subnet's stem downsample factor (none with zero subnet
-    blocks) and the common (channels, h, w) the subnets emit, the first
-    unified block's input. With zero subnet blocks the channel entry is
-    None: a ``Resize`` passes the input's channels through. Raises
-    ValueError naming what does not fit, so a caller can check a layout
-    before it renders data or draws weights.
-    """
-    if subnet_blocks < 0:
-        raise ValueError("subnet block count must be >= 0")
-    if subnet_blocks >= spec.total_blocks:
-        raise ValueError(f"subnet blocks {subnet_blocks} must be fewer than the "
-                         f"backbone's {spec.total_blocks} blocks")
-    canonical = spec.canonical_size
-    if scales[len(scales) - 1] != canonical:
-        raise ValueError(f"largest scale {scales[len(scales) - 1]} must equal the "
-                         f"canonical size {canonical}")
-    if subnet_blocks == 0:
-        return [], (None, canonical, canonical)
-    plan = _block_plan(spec)
-    downsamples, shapes = [], []
-    for i, size in enumerate(scales):
-        ds = 4 * size // canonical
-        if ds not in STEMS or 4 * size != ds * canonical:
-            raise ValueError(
-                f"no stem adaptation reaches the common feature shape for "
-                f"scale index {i} (size {size}, canonical {canonical})")
-        kernel, stride, pool = STEMS[ds]
-        out = conv_out_size(size, kernel, stride, kernel // 2) // (pool or 1)
-        for *_, s in plan[1:subnet_blocks]:   # 3x3 convs, padding 1
-            out = conv_out_size(out, 3, s, 1)
-        downsamples.append(ds)
-        shapes.append((plan[subnet_blocks][2], out, out))
-    if len(set(shapes)) != 1:
-        raise ValueError(f"subnet output shapes differ across scales: {shapes}")
-    return downsamples, shapes[0]
-
-
 class MsunModel:
     """Scale subnets f_1..f_S, shared deep network g, pooled linear head."""
 
     def __init__(self, spec: BackboneSpec, scales: ScaleSet, subnet_blocks: int, rng: Rng):
-        downsamples, self.feature_shape = subnet_layout(spec, scales, subnet_blocks)
+        """Raises ValueError naming what does not fit. ``feature_shape`` is the
+        subnets' common (channels, h, w), the first unified block's input;
+        with zero subnet blocks its channels are None (a ``Resize`` passes
+        the input's through)."""
+        if not 0 <= subnet_blocks < spec.total_blocks:
+            raise ValueError(f"subnet blocks {subnet_blocks} must be at least 0 and fewer "
+                             f"than the backbone's {spec.total_blocks} blocks")
+        canonical = spec.canonical_size
+        if scales[-1] != canonical:
+            raise ValueError(f"largest scale {scales[-1]} must equal the "
+                             f"canonical size {canonical}")
         self.spec = spec
         self.scales = scales
         self.subnet_blocks = subnet_blocks
@@ -293,10 +275,21 @@ class MsunModel:
 
         plan = _block_plan(spec)
         if subnet_blocks == 0:
-            self.subnets = [Stack([("resize", Resize(spec.canonical_size))]) for _ in scales]
+            self.subnets = [Stack([("resize", Resize(canonical))]) for _ in scales]
         else:
-            self.subnets = [Stack([_build(e, rng, downsample=ds) for e in plan[:subnet_blocks]])
-                            for ds in downsamples]
+            for i, size in enumerate(scales):
+                if 4 * size % canonical or 4 * size // canonical not in STEMS:
+                    raise ValueError(
+                        f"no stem adaptation reaches the common feature shape for "
+                        f"scale index {i} (size {size}, canonical {canonical})")
+            self.subnets = [Stack([_build(e, rng, downsample=4 * size // canonical)
+                                   for e in plan[:subnet_blocks]]) for size in scales]
+        channels = plan[subnet_blocks][2] if subnet_blocks else None
+        sides = [stack.out_size(size) for stack, size in zip(self.subnets, scales)]
+        shapes = [(channels, side, side) for side in sides]
+        if len(set(shapes)) != 1:
+            raise ValueError(f"subnet output shapes differ across scales: {shapes}")
+        self.feature_shape = shapes[0]
         self.unified = Stack([_build(e, rng, len(scales)) for e in plan[subnet_blocks:]])
         self.head = Linear(spec.stage_widths[-1], spec.num_classes, rng)
 

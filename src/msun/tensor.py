@@ -415,15 +415,14 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3,
-               skip_nonsmooth: bool = False, sample: Optional[Sequence[int]] = None,
-               precise: bool = True) -> float:
+               skip_nonsmooth: bool = False, sample: Optional[Sequence[int]] = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must be a deterministic scalar-valued function of ``x``. The error
     per element is |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    The analytic side runs exactly as production does; with ``precise`` the
-    numeric oracle feeds float64 copies through the (dtype-polymorphic) ops
-    so difference quotients are not drowned by float32 rounding.
+    The analytic side runs exactly as production does; the numeric oracle
+    feeds float64 copies through the (dtype-polymorphic) ops so difference
+    quotients are not drowned by float32 rounding.
 
     With ``skip_nonsmooth`` the branch pattern (ReLU signs, pool argmaxes,
     clamp sides) of the two perturbed evaluations is compared and elements
@@ -441,27 +440,24 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3,
     if not np.all(np.isfinite(analytic)) or not np.isfinite(float(loss.data)):
         raise NonFiniteError("non-finite value in analytic gradient or loss")
 
-    eval_dtype = np.float64 if precise else x.data.dtype
-    flat = x.data.astype(eval_dtype).reshape(-1)
+    flat = x.data.astype(np.float64).reshape(-1)
     indices = range(flat.size) if sample is None else sample
     worst = 0.0
     with no_grad():
         for idx in indices:
-            probe = np.array(flat, copy=True)
-            probe[idx] = flat[idx] + h
-            xp = probe.reshape(x.shape).astype(eval_dtype)
-            probe[idx] = flat[idx] - h
-            xm = probe.reshape(x.shape).astype(eval_dtype)
+            xp, xm = flat.copy(), flat.copy()
+            xp[idx] += h
+            xm[idx] -= h
             with record_branches() as rp:
-                fp = float(f(Tensor(xp)).data)
+                fp = float(f(Tensor(xp.reshape(x.shape))).data)
             with record_branches() as rm:
-                fm = float(f(Tensor(xm)).data)
+                fm = float(f(Tensor(xm.reshape(x.shape))).data)
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise NonFiniteError(f"non-finite function value at element {idx}")
             if skip_nonsmooth and rp.fingerprint() != rm.fingerprint():
                 continue
-            # use the step the storage dtype actually realized
-            h_eff = float(xp.reshape(-1)[idx]) - float(xm.reshape(-1)[idx])
+            # use the step float64 actually realized
+            h_eff = float(xp[idx] - xm[idx])
             if h_eff == 0.0:
                 continue
             numeric = (fp - fm) / h_eff

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, average_accuracy,
+from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, average_accuracy,
                   build_vanilla, center_features, cka, count_flops, count_params,
                   gen_shapes, grad_cam, layerwise_cka, pca_project)
-from msun import tensor
+from msun import layers, tensor
+from msun import model as model_module
 from msun.analysis import EvalReport, EvalRow, grad_cam_formula, parse_pgm, tap_activations
 from msun.layers import Conv2d
 
@@ -222,6 +223,33 @@ class TestFlops:
                          if isinstance(c, Conv2d) and name.startswith(routed)]
                 assert rows == convs, (b, size)
 
+    @pytest.mark.parametrize("kind", ["plain", "residual"])
+    def test_conv_rows_match_conv2d_outputs(self, kind, monkeypatch):
+        # each row's output side is the one the engine's conv2d call produces
+        outputs = []
+
+        def recording(conv2d):
+            def record(*args, **kwargs):
+                out = conv2d(*args, **kwargs)
+                outputs.append(out.shape[2:])
+                return out
+            return record
+
+        monkeypatch.setattr(model_module, "conv2d", recording(model_module.conv2d))
+        monkeypatch.setattr(layers, "conv2d", recording(layers.conv2d))
+        spec = BackboneSpec((8, 16), (2, 1), kind, 4, 32)
+        scales = ScaleSet([8, 16, 32])
+        for b in range(spec.total_blocks):
+            model = MsunModel(spec, scales, b, Rng(0)).eval()
+            for branch, size in enumerate(scales):
+                outputs.clear()
+                with tensor.no_grad():
+                    model.forward_branch(branch, Tensor(np.zeros((1, 3, size, size),
+                                                                 np.float32)))
+                rows = [(r.h_out, r.w_out) for r in count_flops(model, size).rows
+                        if r.layer != "head"]
+                assert rows == outputs, (b, size)
+
 
 class TestParams:
     def test_linear_3_to_2(self):
@@ -332,6 +360,12 @@ class TestGradCam:
         from msun.analysis import GradCamMap
         cam = GradCamMap(np.zeros((3, 3)), 0, np.zeros(1), np.zeros((1, 3, 3)))
         assert np.all(parse_pgm(cam.to_pgm()) == 0)
+
+    @pytest.mark.parametrize("text", ["", "P5 1 1 255 0", "P2\n", "P2\n3\n",
+                                      "P2 2 1 255 0", "P2 1 1 9 0"])
+    def test_pgm_rejects_malformed(self, text):
+        with pytest.raises(ValueError):
+            parse_pgm(text)
 
     def test_single_branch_model_and_offsize_input(self):
         model = build_vanilla(self.SPEC, Rng(4))

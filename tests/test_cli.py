@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import time
 
 import numpy as np
@@ -217,6 +218,25 @@ class TestEval:
         out, err = capsys.readouterr()
         assert code == 4 and out == ""
         assert name in err and "file format error" in err
+
+    def test_repeated_tensor_exits_4(self, trained, tmp_path, capsys):
+        # a second, all-zero head.weight appended after the file's tensors
+        tensors, scales = load_snapshot(os.path.join(trained, "checkpoint.msun"))
+        path = tmp_path / "twice.msun"
+        save_snapshot(str(path), tensors, scales)
+        raw = bytearray(path.read_bytes())
+        count_at = 12 + 4 * len(scales)
+        raw[count_at:count_at + 4] = (len(tensors) + 1).to_bytes(4, "little")
+        name, shape = b"head.weight", tensors["head.weight"].shape
+        raw += struct.pack(f"<I{len(name)}sI{len(shape)}I", len(name), name, len(shape), *shape)
+        raw += np.zeros(shape, "<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(path), "--sizes", "16,32",
+                     "--config", TINY_CFG])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert "'head.weight' appears twice" in err
 
     def test_valid_checkpoint_loads_bit_for_bit(self, trained):
         path = os.path.join(trained, "checkpoint.msun")
@@ -538,7 +558,7 @@ class TestChecksBeforeWork:
     SPEC_CASES = [("train.epochs", "0", "epochs"), ("model.kind", "dense", "dense"),
                   ("train.warmup_epochs", "3", "warmup_epochs"),
                   ("model.widths", "6,0", "(6, 0)"), ("model.blocks", "1", "(1,)"),
-                  ("data.native", "4", "canonical input 4"),
+                  ("data.native", "2", "canonical input 2"),
                   ("data.classes", "0", "at least one class")]
 
     @pytest.mark.parametrize("key,value,named",

@@ -228,12 +228,6 @@ class TestLinearProbe:
         acc = linear_probe(msun_result.model, target, epochs=5, seed=1)
         assert 0.0 <= acc <= 1.0
 
-    def test_accepts_checkpoint_path(self, msun_result):
-        target = gen_shapes(8, 100, 4, 32)
-        from_path = linear_probe(msun_result.checkpoint_path, target, epochs=4, seed=2)
-        from_model = linear_probe(msun_result.model, target, epochs=4, seed=2)
-        assert from_path == pytest.approx(from_model, abs=1e-12)
-
 
 class TestAblation:
     def test_grid_rows_and_skips(self, data):

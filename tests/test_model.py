@@ -9,14 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, Tensor, build_vanilla,
+from msun import (BackboneSpec, MsunModel, Rng, ScaleSet, ShapeError, Tensor, build_vanilla,
                   route_scale, si_loss, total_loss)
 from msun import layers
 from msun.analysis import count_params, grad_cam
 from msun.config import load_config
 from msun.data import gen_shapes, make_multiscale
 from msun.layers import bilinear_resize, resize_images
-from msun.model import ConvBlock, LossBreakdown, _conv_bn, _step_with_logits
+from msun.model import (ConvBlock, LossBreakdown, Stack, _block_plan, _build, _conv_bn,
+                        _step_with_logits)
 from msun.optim import SGD
 from msun.tensor import backward, grad_check, maximum_scalar, mul, no_grad, tsum
 
@@ -34,9 +35,45 @@ def small_batch(rng, size, n=4):
 
 class TestBackboneSpec:
     def test_rejects_spatial_collapse(self):
+        # at 2 px the 5x5/2 stem conv leaves 1 px, below its 2 px pool; later
+        # 3x3 convs with padding 1 keep at least one pixel
         with pytest.raises(ValueError) as exc:
-            BackboneSpec((4, 8, 16, 32), (1, 1, 1, 1), "plain", 2, 16)
-        assert "stage" in str(exc.value)
+            BackboneSpec((4, 8, 16, 32), (1, 1, 1, 1), "plain", 2, 2)
+        assert "canonical input 2" in str(exc.value)
+        model = build_vanilla(BackboneSpec((4, 8, 16, 32), (1, 1, 1, 1), "plain", 2, 16),
+                              Rng(0)).eval()
+        assert model.forward_infer(small_batch(Rng(0), 16, 1).data, 16).data.shape == (1, 2)
+
+    def test_accepts_exactly_what_runs(self):
+        # the spec's one check against the engine: every block of the vanilla
+        # model, built from the plan without the spec's check, runs or not
+        disagree = []
+        for stages in range(1, 5):
+            for canonical in range(1, 40):
+                for kind in ("plain", "residual"):
+                    fields = ((2,) * stages, (1,) * stages, kind, 2, canonical)
+                    unchecked = object.__new__(BackboneSpec)
+                    for field, value in zip(dataclasses.fields(BackboneSpec), fields):
+                        object.__setattr__(unchecked, field.name, value)
+                    blocks = Stack([_build(e, Rng(0)) for e in _block_plan(unchecked)])
+                    try:
+                        with no_grad():
+                            blocks.forward(small_batch(Rng(0), canonical, 1), False)
+                        runs = True
+                    except ShapeError:
+                        runs = False
+                    try:
+                        spec = BackboneSpec(*fields)
+                    except ValueError:
+                        spec = None
+                    if (spec is not None) != runs:
+                        disagree.append(fields)
+                    elif spec is not None:
+                        model = build_vanilla(spec, Rng(0)).eval()
+                        logits = model.forward_infer(small_batch(Rng(0), canonical, 1).data,
+                                                     canonical)
+                        assert logits.data.shape == (1, 2), fields
+        assert not disagree, disagree
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
